@@ -44,6 +44,11 @@ for preset in default asan; do
   "${build_dir}/tests/replication_test" >/dev/null
   "${build_dir}/tests/restore_fault_test" >/dev/null
 
+  # The one checkpoint wire format: mutated `sls send` streams and
+  # replication chunks decode canonically or fail typed, and a damaged
+  # pending chunk never applies.
+  "${build_dir}/tests/wire_format_fuzz_test" >/dev/null
+
   # Static-analysis gate: every tree — src, tools, tests, bench — must lint
   # clean under all six rule families, and the linter must prove its rules
   # still fire on the fixtures.
@@ -138,12 +143,16 @@ for preset in default asan; do
 done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
-# matrix can cover the lint engine and the crash/restore paths directly.
+# matrix can cover the lint engine, the crash/restore paths and the wire
+# format's byte decoders directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
-cmake --build --preset ubsan -j "${jobs}" --target lint_test crash_matrix_test
-build-ubsan/tests/lint_test >/dev/null
-build-ubsan/tests/crash_matrix_test >/dev/null
+ubsan_tests=(lint_test crash_matrix_test wire_format_fuzz_test replication_test
+             backend_conformance_test)
+cmake --build --preset ubsan -j "${jobs}" --target "${ubsan_tests[@]}"
+for t in "${ubsan_tests[@]}"; do
+  "build-ubsan/tests/${t}" >/dev/null
+done
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

@@ -41,6 +41,7 @@ class BinaryWriter {
   // Raw append without a length prefix (fixed-size payloads, e.g. pages).
   void PutRaw(const void* data, size_t len) { Append(data, len); }
 
+  void Reserve(size_t n) { data_.reserve(n); }
   const std::vector<uint8_t>& data() const { return data_; }
   std::vector<uint8_t> Take() { return std::move(data_); }
   size_t size() const { return data_.size(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "src/base/checksum.h"
 #include "src/base/serializer.h"
@@ -10,6 +11,69 @@ namespace aurora {
 
 namespace {
 constexpr uint32_t kStreamMagic = 0x41534e44;  // "ASND"
+constexpr uint32_t kReplMagic = 0x4152504c;    // "ARPL"
+
+// The group a manifest belongs to; "" for manifest-less seals.
+std::string ManifestGroup(const std::vector<uint8_t>& manifest) {
+  if (manifest.empty()) {
+    return "";
+  }
+  auto head = PeekManifest(manifest);
+  return head.ok() ? head->name : "";
+}
+
+// Completion of a `payload`-byte transfer starting at `start` on a link
+// whose byte time is shared: per-stream latency (the NetTransfer half-RTT)
+// overlaps, wire occupancy `*wire_busy` does not. On one lane the stream
+// timeline always covers the wire, i.e. the historical serial link.
+SimTime WireTransfer(const CostModel& cost, SimTime* wire_busy, SimTime start, uint64_t payload) {
+  *wire_busy = std::max(*wire_busy, start) +
+               static_cast<SimDuration>(static_cast<double>(payload) / cost.net_bytes_per_ns);
+  return std::max(start + cost.NetTransfer(payload), *wire_busy);
+}
+}  // namespace
+
+// -----------------------------------------------------------------------------
+// CheckpointBackend: resolvers and pagers over the page source
+// -----------------------------------------------------------------------------
+
+Result<MemoryResolverFn> CheckpointBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
+                                                         std::shared_ptr<SimTime> stream_done) {
+  if (mode == RestoreMode::kFull) {
+    auto stream = std::make_shared<RestoreStream>(
+        RestoreStream{LaneSchedule(lanes_.lanes(), *stream_done), *stream_done, stream_done});
+    return MemoryResolverFn(
+        [this, epoch, stream](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+          auto obj = VmObject::CreateAnonymous(size);
+          AURORA_RETURN_IF_ERROR(StreamObject(epoch, oid, obj.get(), stream.get()));
+          return ResolvedMemory{std::move(obj), false};
+        });
+  }
+  if (mode == RestoreMode::kLazy) {
+    return MemoryResolverFn([this, epoch](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+      auto obj = VmObject::CreateAnonymous(size);
+      obj->set_pager([this, epoch, oid](uint64_t pgidx, uint8_t* out) {
+        return ReadPage(epoch, oid, pgidx, out);
+      });
+      return ResolvedMemory{std::move(obj), false};
+    });
+  }
+  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+}
+
+bool CheckpointBackend::InstallPager(VmObject* base) {
+  // Only legal for parentless anonymous objects: a catch-all pager installed
+  // mid-chain would shadow the links below it.
+  if (base->parent() != nullptr || base->sls_oid() == 0) {
+    return base->has_pager();
+  }
+  if (!base->has_pager()) {
+    Oid oid{base->sls_oid()};
+    base->set_pager([this, oid](uint64_t pgidx, uint8_t* out) {
+      return ReadPage(kLiveEpoch, oid, pgidx, out);
+    });
+  }
+  return true;
 }
 
 // -----------------------------------------------------------------------------
@@ -29,9 +93,7 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   runs.reserve(obj->pages().size());
   for (const auto& [pgidx, frame] : obj->pages()) {
     runs.push_back(ObjectStore::IoRun{pgidx * kPageSize, frame->data.data(), kPageSize});
-    if (pages != nullptr) {
-      (*pages)++;
-    }
+    (*pages)++;
   }
   if (runs.empty()) {
     return sim_->clock.now();
@@ -42,9 +104,7 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   uint64_t stored_before = store_->stats().bytes_stored;
   AURORA_ASSIGN_OR_RETURN(SimTime done, store_->WriteAtBatch(oid, runs));
   uint64_t shipped = store_->stats().bytes_stored - stored_before;
-  if (bytes != nullptr) {
-    *bytes += shipped;
-  }
+  *bytes += shipped;
   // The flusher walks the object with its lock held; COW faults copying
   // from it contend (see VmObject::busy_until).
   obj->set_busy_until(done);
@@ -105,68 +165,32 @@ Result<CheckpointBackend::LoadedManifest> StoreBackend::LoadManifest(
   return LoadManifestFromStore(store_, group_name, epoch);
 }
 
-Result<MemoryResolverFn> StoreBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
-                                                    std::shared_ptr<SimTime> stream_done) {
-  ObjectStore* store = store_;
-  if (mode == RestoreMode::kFull) {
-    // Eager restore streams every object's blocks with pipelined reads; the
-    // caller advances to the stream's completion once at the end.
-    return MemoryResolverFn(
-        [store, epoch, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          auto obj = VmObject::CreateAnonymous(size);
-          auto blocks = store->BlocksAtEpoch(epoch, oid);
-          if (blocks.ok()) {
-            uint32_t bs = store->block_size();
-            std::vector<uint8_t> buf(bs);
-            for (uint64_t block : *blocks) {
-              AURORA_RETURN_IF_ERROR(
-                  store->ReadAtEpoch(epoch, oid, block * bs, buf.data(), bs, stream_done.get()));
-              for (uint64_t p = 0; p < bs / kPageSize; p++) {
-                obj->InstallPage(block * (bs / kPageSize) + p, buf.data() + p * kPageSize);
-              }
-            }
-          }
-          return ResolvedMemory{std::move(obj), false};
-        });
+bool StoreBackend::ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) {
+  if (epoch == kLiveEpoch) {
+    return store_->ReadAt(oid, pgidx * kPageSize, out, kPageSize).ok();
   }
-  if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([store, epoch](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      auto blocks = store->BlocksAtEpoch(epoch, oid);
-      auto present = std::make_shared<std::set<uint64_t>>();
-      if (blocks.ok()) {
-        present->insert(blocks->begin(), blocks->end());
-      }
-      uint32_t bs = store->block_size();
-      obj->set_pager([store, epoch, oid, present, bs](uint64_t pgidx, uint8_t* out) {
-        uint64_t block = pgidx * kPageSize / bs;
-        if (present->count(block) == 0) {
-          return false;
-        }
-        return store->ReadAtEpoch(epoch, oid, pgidx * kPageSize, out, kPageSize).ok();
-      });
-      return ResolvedMemory{std::move(obj), false};
-    });
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+  Result<bool> present =
+      store_->HasBlockAtEpoch(epoch, oid, pgidx * kPageSize / store_->block_size());
+  return present.ok() && *present &&
+         store_->ReadAtEpoch(epoch, oid, pgidx * kPageSize, out, kPageSize).ok();
 }
 
-bool StoreBackend::InstallPager(VmObject* base) {
-  // Only legal for parentless anonymous objects: a catch-all pager installed
-  // mid-chain would shadow the links below it.
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
+Status StoreBackend::StreamObject(uint64_t epoch, Oid oid, VmObject* obj, RestoreStream* stream) {
+  // Pipelined block reads; an object absent at `epoch` restores empty.
+  auto blocks = store_->BlocksAtEpoch(epoch, oid);
+  if (!blocks.ok()) {
+    return Status::Ok();
   }
-  if (base->has_pager()) {
-    return true;
+  uint32_t bs = store_->block_size();
+  std::vector<uint8_t> buf(bs);
+  for (uint64_t block : *blocks) {
+    AURORA_RETURN_IF_ERROR(
+        store_->ReadAtEpoch(epoch, oid, block * bs, buf.data(), bs, stream->done.get()));
+    for (uint64_t p = 0; p < bs / kPageSize; p++) {
+      obj->InstallPage(block * (bs / kPageSize) + p, buf.data() + p * kPageSize);
+    }
   }
-  ObjectStore* store = store_;
-  Oid oid{base->sls_oid()};
-  base->set_pager([store, oid](uint64_t pgidx, uint8_t* out) {
-    auto blocks = store->ReadAt(oid, pgidx * kPageSize, out, kPageSize);
-    return blocks.ok();
-  });
-  return true;
+  return Status::Ok();
 }
 
 // -----------------------------------------------------------------------------
@@ -174,69 +198,56 @@ bool StoreBackend::InstallPager(VmObject* base) {
 // -----------------------------------------------------------------------------
 
 Result<Oid> MemoryBackend::CreateMemoryObject(uint64_t size_hint) {
-  Oid oid{AllocOid()};
-  DeclareObject(oid.value, size_hint);
+  Oid oid{next_oid_++};
+  objects_[oid.value].size = size_hint;
   return oid;
 }
 
-void MemoryBackend::DeclareObject(uint64_t oid, uint64_t size) {
-  ObjectImage& img = objects_[oid];
-  img.size = std::max(img.size, size);
-}
-
 void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
-                              const uint8_t* data) {
+                              std::vector<uint8_t> page) {
   ObjectImage& img = objects_[oid];
   img.size = std::max(img.size, object_size);
-  img.pages[pgidx].assign(data, data + kPageSize);
+  img.pages[pgidx] = std::move(page);
+}
+
+uint64_t MemoryBackend::StageDeduped(SimContext* sender, PageContentCache* cache, uint64_t oid,
+                                     uint64_t object_size, uint64_t pgidx, const uint8_t* data,
+                                     uint64_t* pages, uint64_t* bytes) {
+  sender->clock.Advance(sender->cost.ContentHash(kPageSize));
+  ContentKey key = ContentHash128(data, kPageSize);
+  // The hit is checked before staging: restaging the cached page itself
+  // must compare against the bytes it held.
+  auto cached = cache->find(key);
+  const std::vector<uint8_t>* held =
+      cached == cache->end() ? nullptr : FindPage(cached->second.first, cached->second.second);
+  bool hit = held != nullptr && std::memcmp(held->data(), data, kPageSize) == 0;
+  StagePage(oid, object_size, pgidx, {data, data + kPageSize});
+  if (hit) {
+    sender->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
+  } else {
+    (*cache)[key] = {oid, pgidx};
+  }
+  uint64_t shipped = hit ? kDedupRefBytes : kPageSize;
+  (*pages)++;
+  *bytes += shipped;
+  return shipped;
 }
 
 Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                 uint64_t* bytes) {
-  // Dedup against pages already staged in the image table: a page whose
-  // content the table holds flushes as a 16-byte reference instead of a
-  // 4 KiB copy. The cache hit is validated against the actual staged bytes
-  // (the source page may have been restaged since), never trusted blindly.
+  // A page whose content the table already holds flushes as a 16-byte
+  // reference instead of a 4 KiB copy.
   uint64_t copied = 0;
-  uint64_t staged = 0;
   for (const auto& [pgidx, frame] : obj->pages()) {
-    staged++;
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    sim_->clock.Advance(sim_->cost.ContentHash(kPageSize));
-    ContentKey key = ContentHash128(frame->data.data(), kPageSize);
-    bool hit = false;
-    auto cached = content_cache_.find(key);
-    if (cached != content_cache_.end()) {
-      const ObjectImage* img = FindObject(cached->second.first);
-      if (img != nullptr) {
-        auto page = img->pages.find(cached->second.second);
-        hit = page != img->pages.end() &&
-              std::memcmp(page->second.data(), frame->data.data(), kPageSize) == 0;
-      }
-    }
-    StagePage(oid.value, obj->size(), pgidx, frame->data.data());
-    if (hit) {
-      copied += kDedupRefBytes;
-      sim_->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
-      if (bytes != nullptr) {
-        *bytes += kDedupRefBytes;
-      }
-    } else {
-      copied += kPageSize;
-      content_cache_[key] = {oid.value, pgidx};
-      if (bytes != nullptr) {
-        *bytes += kPageSize;
-      }
-    }
+    copied += StageDeduped(sim_, &content_cache_, oid.value, obj->size(), pgidx,
+                           frame->data.data(), pages, bytes);
   }
-  if (staged == 0) {
+  if (obj->pages().empty()) {
     return sim_->clock.now();
   }
-  int lane = flusher_.NextLane();
-  SimTime done = flusher_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
-  flusher_.Occupy(lane, done);
+  int lane = lanes_.NextLane();
+  SimTime done = lanes_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
+  lanes_.Occupy(lane, done);
   obj->set_busy_until(done);
   sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(copied);
   return done;
@@ -247,28 +258,14 @@ Result<CheckpointBackend::CommitInfo> MemoryBackend::CommitEpoch(
   (void)replaces_manifest;  // images are append-only; Seal retires nothing
   // Commit is a join point: the manifest copy starts only after every flusher
   // lane drained, and nothing later may start before the commit finished.
-  SimTime done = std::max(sim_->clock.now(), flusher_.Makespan());
+  SimTime done = std::max(sim_->clock.now(), lanes_.Makespan());
   if (!manifest.empty()) {
     done += sim_->cost.MemCopy(manifest.size());
     sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(manifest.size());
   }
-  flusher_ = LaneSchedule(flusher_.lanes(), done);
-  std::string group;
-  if (!manifest.empty()) {
-    auto head = PeekManifest(manifest);
-    if (head.ok()) {
-      group = head->name;
-    }
-  }
+  lanes_ = LaneSchedule(lanes_.lanes(), done);
   sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return Seal(std::move(group), ckpt_name, manifest, done);
-}
-
-CheckpointBackend::CommitInfo MemoryBackend::Seal(std::string group, std::string ckpt_name,
-                                                  std::vector<uint8_t> manifest,
-                                                  SimTime committed_at) {
-  return SealAt(epoch_, std::move(group), std::move(ckpt_name), std::move(manifest),
-                committed_at);
+  return SealAt(epoch_, ManifestGroup(manifest), ckpt_name, manifest, done);
 }
 
 CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string group,
@@ -299,7 +296,7 @@ CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string 
   rec.ckpt_name = std::move(ckpt_name);
   rec.committed_at = committed_at;
   if (!manifest.empty()) {
-    rec.manifest_oid = Oid{AllocOid()};
+    rec.manifest_oid = Oid{next_oid_++};
     info.manifest_oid = rec.manifest_oid;
     rec.manifest = std::move(manifest);
   }
@@ -307,9 +304,24 @@ CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string 
   return info;
 }
 
-const MemoryBackend::ObjectImage* MemoryBackend::FindObject(uint64_t oid) const {
-  auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : &it->second;
+const std::vector<uint8_t>* MemoryBackend::FindPage(uint64_t oid, uint64_t pgidx) const {
+  auto img = objects_.find(oid);
+  if (img == objects_.end()) {
+    return nullptr;
+  }
+  auto page = img->second.pages.find(pgidx);
+  return page == img->second.pages.end() ? nullptr : &page->second;
+}
+
+uint64_t MemoryBackend::InstallImage(uint64_t oid, VmObject* obj) const {
+  auto img = objects_.find(oid);
+  if (img == objects_.end()) {
+    return 0;
+  }
+  for (const auto& [pgidx, data] : img->second.pages) {
+    obj->InstallPage(pgidx, data.data());
+  }
+  return img->second.pages.size();
 }
 
 Result<const MemoryBackend::ImageRecord*> MemoryBackend::FindImage(const std::string& group_name,
@@ -335,133 +347,40 @@ Result<CheckpointBackend::LoadedManifest> MemoryBackend::LoadManifest(
     const std::string& group_name, uint64_t epoch) {
   AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
   sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
-  LoadedManifest loaded;
-  loaded.epoch = rec->epoch;
-  loaded.oid = rec->manifest_oid;
-  loaded.blob = rec->manifest;
-  return loaded;
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
 }
 
-Result<MemoryResolverFn> MemoryBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
-                                                     std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;  // images are written once; any epoch sees the same pages
-  if (mode == RestoreMode::kFull) {
-    // Independent objects materialize on parallel lanes (same width as the
-    // flusher); the caller advances to the makespan once at the end.
-    auto lanes = std::make_shared<LaneSchedule>(flusher_.lanes(), *stream_done);
-    return MemoryResolverFn(
-        [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          auto obj = VmObject::CreateAnonymous(size);
-          uint64_t copied = 0;
-          if (const ObjectImage* img = FindObject(oid.value)) {
-            for (const auto& [pgidx, data] : img->pages) {
-              obj->InstallPage(pgidx, data.data());
-              copied += kPageSize;
-            }
-          }
-          int lane = lanes->NextLane();
-          SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(copied);
-          lanes->Occupy(lane, done);
-          *stream_done = std::max(*stream_done, done);
-          return ResolvedMemory{std::move(obj), false};
-        });
+bool MemoryBackend::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
+  const std::vector<uint8_t>* page = FindPage(oid.value, pgidx);
+  if (page == nullptr) {
+    return false;
   }
-  if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([this](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      SimContext* sim = sim_;
-      MemoryBackend* backend = this;
-      uint64_t key = oid.value;
-      obj->set_pager([sim, backend, key](uint64_t pgidx, uint8_t* out) {
-        const ObjectImage* img = backend->FindObject(key);
-        if (img == nullptr) {
-          return false;
-        }
-        auto page = img->pages.find(pgidx);
-        if (page == img->pages.end()) {
-          return false;
-        }
-        sim->clock.Advance(sim->cost.MemCopy(kPageSize));
-        std::copy(page->second.begin(), page->second.end(), out);
-        return true;
-      });
-      return ResolvedMemory{std::move(obj), false};
-    });
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
-}
-
-bool MemoryBackend::InstallPager(VmObject* base) {
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
-  }
-  if (base->has_pager()) {
-    return true;
-  }
-  SimContext* sim = sim_;
-  MemoryBackend* backend = this;
-  uint64_t key = base->sls_oid();
-  base->set_pager([sim, backend, key](uint64_t pgidx, uint8_t* out) {
-    const ObjectImage* img = backend->FindObject(key);
-    if (img == nullptr) {
-      return false;
-    }
-    auto page = img->pages.find(pgidx);
-    if (page == img->pages.end()) {
-      return false;
-    }
-    sim->clock.Advance(sim->cost.MemCopy(kPageSize));
-    std::copy(page->second.begin(), page->second.end(), out);
-    return true;
-  });
+  sim_->clock.Advance(sim_->cost.MemCopy(kPageSize));
+  std::copy(page->begin(), page->end(), out);
   return true;
+}
+
+Status MemoryBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
+                                   RestoreStream* stream) {
+  uint64_t copied = InstallImage(oid.value, obj) * kPageSize;
+  int lane = stream->lanes.NextLane();
+  SimTime done = stream->lanes.StartOn(lane, 0) + sim_->cost.MemCopy(copied);
+  stream->lanes.Occupy(lane, done);
+  *stream->done = std::max(*stream->done, done);
+  return Status::Ok();
 }
 
 // -----------------------------------------------------------------------------
 // NetBackend
 // -----------------------------------------------------------------------------
 
-Result<SimTime> NetBackend::QueueTransferOn(int lane, uint64_t payload) {
-  SimTime start = lanes_.StartOn(lane, sim_->clock.now());
-  if (link_.drop_rate > 0.0) {
-    // Lossy link: each timed-out attempt pushes the lane's start time out by
-    // the send timeout plus the reconnect round trip. The guard keeps the
-    // zero-fault profile from consuming RNG draws (bit-identical timeline).
-    int attempt = 1;
-    while (link_rng_.NextBool(link_.drop_rate)) {
-      sim_->metrics.counter("net.timeouts").Add();
-      if (attempt >= link_.max_attempts) {
-        // Retry exhaustion means the peer is unreachable, not that the
-        // local device failed: record it as a partition and fail typed so
-        // callers can tell "link down" from "disk died".
-        sim_->metrics.counter("io.giveups").Add();
-        sim_->metrics.counter("net.partitions").Add();
-        return Status::Error(Errc::kUnavailable, "network peer unreachable: send timed out");
-      }
-      attempt++;
-      sim_->metrics.counter("io.retries").Add();
-      sim_->metrics.counter("net.reconnects").Add();
-      start += sim_->cost.net_send_timeout + sim_->cost.net_rtt;
-    }
-  }
-  // The wire's byte time is shared across stream lanes; per-stream latency
-  // (the NetTransfer half-RTT) overlaps. One lane: the stream timeline
-  // includes the wire time plus latency, so the bucket below never binds and
-  // this is exactly the historical serial link.
-  wire_busy_ = std::max(wire_busy_, start) +
-               static_cast<SimDuration>(static_cast<double>(payload) / sim_->cost.net_bytes_per_ns);
-  SimTime done = std::max(start + sim_->cost.NetTransfer(payload), wire_busy_);
+SimTime NetBackend::QueueTransferOn(int lane, uint64_t payload) {
+  SimTime done = WireTransfer(sim_->cost, &wire_busy_, lanes_.StartOn(lane, sim_->clock.now()),
+                              payload);
   lanes_.Occupy(lane, done);
   sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(payload);
   sim_->metrics.histogram("backend." + name_ + ".transfer_time").Record(done - sim_->clock.now());
   return done;
-}
-
-Result<Oid> NetBackend::CreateMemoryObject(uint64_t size_hint) {
-  // Object naming piggybacks on the stream framing; no transfer of its own.
-  uint64_t oid = remote_->AllocOid();
-  remote_->DeclareObject(oid, size_hint);
-  return Oid{oid};
 }
 
 Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
@@ -469,38 +388,13 @@ Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* p
   // The page set splits round-robin over the stream lanes; each lane ships
   // its share as one framed transfer. One lane = the whole object in a
   // single transfer, the historical behavior. Pages whose content the peer's
-  // image table already holds ship as a header + content-key reference; the
-  // sender validates its cache against the remote image (staged earlier by
-  // us, so host-visible) before trusting the hit.
+  // image table already holds ship as a header + content-key reference.
   std::vector<uint64_t> lane_payload(static_cast<size_t>(lanes_.lanes()), 0);
   uint64_t page_index = 0;
   for (const auto& [pgidx, frame] : obj->pages()) {
-    sim_->clock.Advance(sim_->cost.ContentHash(kPageSize));
-    ContentKey key = ContentHash128(frame->data.data(), kPageSize);
-    bool hit = false;
-    auto cached = content_cache_.find(key);
-    if (cached != content_cache_.end()) {
-      const MemoryBackend::ObjectImage* img = remote_->FindObject(cached->second.first);
-      if (img != nullptr) {
-        auto page = img->pages.find(cached->second.second);
-        hit = page != img->pages.end() &&
-              std::memcmp(page->second.data(), frame->data.data(), kPageSize) == 0;
-      }
-    }
-    remote_->StagePage(oid.value, obj->size(), pgidx, frame->data.data());
-    uint64_t wire = kPageHeaderBytes + (hit ? kDedupRefBytes : kPageSize);
-    lane_payload[page_index++ % lane_payload.size()] += wire;
-    if (hit) {
-      sim_->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
-    } else {
-      content_cache_[key] = {oid.value, pgidx};
-    }
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    if (bytes != nullptr) {
-      *bytes += hit ? kDedupRefBytes : kPageSize;
-    }
+    lane_payload[page_index++ % lane_payload.size()] +=
+        kPageHeaderBytes + remote_->StageDeduped(sim_, &content_cache_, oid.value, obj->size(),
+                                                 pgidx, frame->data.data(), pages, bytes);
   }
   if (page_index == 0) {
     return sim_->clock.now();
@@ -510,9 +404,7 @@ Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* p
   SimTime done = sim_->clock.now();
   for (size_t lane = 0; lane < lane_payload.size(); lane++) {
     if (lane_payload[lane] > 0) {
-      AURORA_ASSIGN_OR_RETURN(SimTime lane_done,
-                              QueueTransferOn(static_cast<int>(lane), lane_payload[lane]));
-      done = std::max(done, lane_done);
+      done = std::max(done, QueueTransferOn(static_cast<int>(lane), lane_payload[lane]));
     }
   }
   obj->set_busy_until(done);
@@ -522,21 +414,15 @@ Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* p
 Result<CheckpointBackend::CommitInfo> NetBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
   (void)replaces_manifest;  // the peer's image table is append-only
-  std::string group;
-  if (!manifest.empty()) {
-    auto head = PeekManifest(manifest);
-    if (head.ok()) {
-      group = head->name;
-    }
-  }
   // Commit record + manifest ride one framed message, sent only after every
   // stream lane drained (the peer must hold all pages before it seals the
   // epoch); later transfers queue behind the commit on every lane.
   lanes_ = LaneSchedule(lanes_.lanes(), std::max(sim_->clock.now(), lanes_.Makespan()));
-  AURORA_ASSIGN_OR_RETURN(SimTime done, QueueTransferOn(0, manifest.size() + 64));
+  SimTime done = QueueTransferOn(0, manifest.size() + 64);
   lanes_ = LaneSchedule(lanes_.lanes(), done);
   sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return remote_->Seal(std::move(group), ckpt_name, manifest, done);
+  return remote_->SealAt(remote_->current_epoch(), ManifestGroup(manifest), ckpt_name, manifest,
+                         done);
 }
 
 Result<CheckpointBackend::LoadedManifest> NetBackend::LoadManifest(const std::string& group_name,
@@ -545,114 +431,231 @@ Result<CheckpointBackend::LoadedManifest> NetBackend::LoadManifest(const std::st
                           remote_->FindImage(group_name, epoch));
   // Foreground pull: the restore blocks on the round trip.
   sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));
-  LoadedManifest loaded;
-  loaded.epoch = rec->epoch;
-  loaded.oid = rec->manifest_oid;
-  loaded.blob = rec->manifest;
-  return loaded;
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
 }
 
-Result<MemoryResolverFn> NetBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
-                                                  std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;
-  MemoryBackend* remote = remote_;
-  SimContext* sim = sim_;
-  if (mode == RestoreMode::kFull) {
-    // Pull streams: independent objects arrive on parallel lanes (latency
-    // halves overlap, wire byte time is shared) while the OS state rebuilds;
-    // the caller advances to the makespan at the end. One lane is the
-    // historical back-to-back link.
-    auto lanes = std::make_shared<LaneSchedule>(lanes_.lanes(), *stream_done);
-    auto wire = std::make_shared<SimTime>(*stream_done);
-    return MemoryResolverFn(
-        [remote, sim, stream_done, lanes, wire](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          auto obj = VmObject::CreateAnonymous(size);
-          uint64_t payload = 0;
-          if (const MemoryBackend::ObjectImage* img = remote->FindObject(oid.value)) {
-            for (const auto& [pgidx, data] : img->pages) {
-              obj->InstallPage(pgidx, data.data());
-              payload += kPageSize + kPageHeaderBytes;
-            }
-          }
-          int lane = lanes->NextLane();
-          SimTime start = lanes->StartOn(lane, 0);
-          *wire = std::max(*wire, start) +
-                  static_cast<SimDuration>(static_cast<double>(payload) /
-                                           sim->cost.net_bytes_per_ns);
-          SimTime done = std::max(start + sim->cost.NetTransfer(payload), *wire);
-          lanes->Occupy(lane, done);
-          *stream_done = std::max(*stream_done, done);
-          return ResolvedMemory{std::move(obj), false};
-        });
+bool NetBackend::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
+  const std::vector<uint8_t>* page = remote_->FindPage(oid.value, pgidx);
+  if (page == nullptr) {
+    return false;
   }
-  if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([remote, sim](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      uint64_t key = oid.value;
-      obj->set_pager([remote, sim, key](uint64_t pgidx, uint8_t* out) {
-        const MemoryBackend::ObjectImage* img = remote->FindObject(key);
-        if (img == nullptr) {
-          return false;
-        }
-        auto page = img->pages.find(pgidx);
-        if (page == img->pages.end()) {
-          return false;
-        }
-        // Remote paging: one synchronous round trip per fault.
-        sim->clock.Advance(sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-        std::copy(page->second.begin(), page->second.end(), out);
-        return true;
-      });
-      return ResolvedMemory{std::move(obj), false};
-    });
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
-}
-
-bool NetBackend::InstallPager(VmObject* base) {
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
-  }
-  if (base->has_pager()) {
-    return true;
-  }
-  MemoryBackend* remote = remote_;
-  SimContext* sim = sim_;
-  uint64_t key = base->sls_oid();
-  base->set_pager([remote, sim, key](uint64_t pgidx, uint8_t* out) {
-    const MemoryBackend::ObjectImage* img = remote->FindObject(key);
-    if (img == nullptr) {
-      return false;
-    }
-    auto page = img->pages.find(pgidx);
-    if (page == img->pages.end()) {
-      return false;
-    }
-    sim->clock.Advance(sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-    std::copy(page->second.begin(), page->second.end(), out);
-    return true;
-  });
+  sim_->clock.Advance(sim_->cost.NetTransfer(kPageSize + kPageHeaderBytes));
+  std::copy(page->begin(), page->end(), out);
   return true;
 }
 
+Status NetBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
+                                RestoreStream* stream) {
+  // Pull streams: independent objects arrive on parallel lanes while the OS
+  // state rebuilds.
+  uint64_t payload = remote_->InstallImage(oid.value, obj) * (kPageSize + kPageHeaderBytes);
+  int lane = stream->lanes.NextLane();
+  SimTime done = WireTransfer(sim_->cost, &stream->wire, stream->lanes.StartOn(lane, 0), payload);
+  stream->lanes.Occupy(lane, done);
+  *stream->done = std::max(*stream->done, done);
+  return Status::Ok();
+}
+
 // -----------------------------------------------------------------------------
-// ReplFrame
+// The wire format: ASND streams and replication chunks
 // -----------------------------------------------------------------------------
 
-uint32_t ReplFrame::ComputeCrc() const {
-  const uint64_t head[4] = {epoch, attempt, seq, commit ? 1ull : 0ull};
-  uint32_t c = Crc32c(head, sizeof(head));
-  const uint64_t obj[2] = {oid, object_size};
-  c = Crc32c(obj, sizeof(obj), c);
-  for (const auto& [pgidx, data] : pages) {
-    c = Crc32c(&pgidx, sizeof(pgidx), c);
-    c = Crc32c(data.data(), data.size(), c);
+namespace {
+constexpr uint8_t kStreamBlockRaw = 0;
+constexpr uint8_t kStreamBlockRef = 1;
+
+// The ASND writer pieces; every encoder goes through them, so the layout is
+// written once.
+void PutStreamHead(BinaryWriter& w, const StreamPayload& payload, uint64_t nobjects) {
+  w.PutU32(kStreamMagic);
+  w.PutU64(payload.epoch);
+  w.PutU64(payload.since_epoch);
+  w.PutBytes(payload.manifest.data(), payload.manifest.size());
+  w.PutU64(nobjects);
+}
+
+void PutObjectHead(BinaryWriter& w, uint64_t oid, uint64_t size, uint64_t nblocks) {
+  w.PutU64(oid);
+  w.PutU64(size);
+  w.PutU64(nblocks);
+}
+
+void PutRawBlock(BinaryWriter& w, uint64_t block, const uint8_t* data, size_t len) {
+  w.PutU64(block);
+  w.PutU8(kStreamBlockRaw);
+  w.PutRaw(data, len);
+}
+
+// Writes `payload` as an ASND stream. With `dedup`, a block repeating an
+// earlier raw block of the stream encodes as a back-reference the receiver
+// resolves locally; the memcmp guards against a (vanishingly unlikely)
+// content-key collision turning into silent corruption on the peer.
+// References name the source by its position in the stream (object index,
+// block), not by oid — the same oid can legitimately appear more than once
+// (objects shared across processes).
+void PutStream(BinaryWriter& w, const StreamPayload& payload, bool dedup) {
+  PutStreamHead(w, payload, payload.objects.size());
+  std::map<ContentKey, std::pair<uint64_t, uint64_t>> seen;  // key -> (obj index, block)
+  for (uint64_t idx = 0; idx < payload.objects.size(); idx++) {
+    const auto& [oid, data] = payload.objects[idx];
+    PutObjectHead(w, oid, data.size, data.blocks.size());
+    for (const auto& [block, raw] : data.blocks) {
+      if (dedup) {
+        ContentKey key = ContentHash128(raw.data(), raw.size());
+        auto cached = seen.find(key);
+        if (cached != seen.end()) {
+          const std::vector<uint8_t>& src =
+              payload.objects[cached->second.first].second.blocks.at(cached->second.second);
+          if (src.size() == raw.size() && std::memcmp(src.data(), raw.data(), raw.size()) == 0) {
+            w.PutU64(block);
+            w.PutU8(kStreamBlockRef);
+            w.PutU64(cached->second.first);
+            w.PutU64(cached->second.second);
+            continue;
+          }
+        }
+        seen[key] = {idx, block};
+      }
+      PutRawBlock(w, block, raw.data(), raw.size());
+    }
   }
-  c = Crc32c(group.data(), group.size(), c);
-  c = Crc32c(ckpt_name.data(), ckpt_name.size(), c);
-  c = Crc32c(manifest.data(), manifest.size(), c);
-  c = Crc32c(&nframes, sizeof(nframes), c);
-  return c;
+}
+
+void PutReplHead(BinaryWriter& w, const ReplChunk& chunk) {
+  w.PutU32(kReplMagic);
+  w.PutU64(chunk.attempt);
+  w.PutU64(chunk.seq);
+  w.PutU64(chunk.nframes);
+  w.PutString(chunk.ckpt_name);
+}
+
+// Appends the CRC32C of everything written so far and returns the chunk.
+std::vector<uint8_t> SealChunk(BinaryWriter& w) {
+  uint32_t crc = Crc32c(w.data().data(), w.size());
+  w.PutRaw(&crc, sizeof(crc));
+  return w.Take();
+}
+
+// Reads an ASND stream's head: magic, epoch, since_epoch, manifest.
+Status ReadStreamHead(BinaryReader& r, StreamPayload* payload) {
+  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
+  if (magic != kStreamMagic) {
+    return Status::Error(Errc::kCorrupt, "bad checkpoint stream");
+  }
+  AURORA_ASSIGN_OR_RETURN(payload->epoch, r.U64());
+  AURORA_ASSIGN_OR_RETURN(payload->since_epoch, r.U64());
+  AURORA_ASSIGN_OR_RETURN(payload->manifest, r.Bytes());
+  return Status::Ok();
+}
+
+// Reads a replication chunk's header; leaves `r` at the start of its stream.
+Status ReadReplHead(BinaryReader& r, ReplChunk* chunk) {
+  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
+  if (magic != kReplMagic) {
+    return Status::Error(Errc::kCorrupt, "bad replication chunk");
+  }
+  AURORA_ASSIGN_OR_RETURN(chunk->attempt, r.U64());
+  AURORA_ASSIGN_OR_RETURN(chunk->seq, r.U64());
+  AURORA_ASSIGN_OR_RETURN(chunk->nframes, r.U64());
+  AURORA_ASSIGN_OR_RETURN(chunk->ckpt_name, r.String());
+  return Status::Ok();
+}
+}  // namespace
+
+std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload) {
+  BinaryWriter w;
+  PutStream(w, payload, /*dedup=*/true);
+  return w.Take();
+}
+
+Result<StreamPayload> DecodeCheckpointStream(std::span<const uint8_t> bytes,
+                                             uint32_t block_size) {
+  BinaryReader r(bytes.data(), bytes.size());
+  StreamPayload payload;
+  AURORA_RETURN_IF_ERROR(ReadStreamHead(r, &payload));
+  AURORA_ASSIGN_OR_RETURN(uint64_t nmem, r.U64());
+  // Blocks decoded from references, by stream position: a reference may
+  // only name a raw block.
+  std::set<std::pair<uint64_t, uint64_t>> ref_blocks;
+  for (uint64_t i = 0; i < nmem; i++) {
+    AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
+    StreamPayload::ObjectData data;
+    AURORA_ASSIGN_OR_RETURN(data.size, r.U64());
+    uint64_t size_blocks = data.size / block_size + (data.size % block_size != 0 ? 1 : 0);
+    AURORA_ASSIGN_OR_RETURN(uint64_t nblocks, r.U64());
+    for (uint64_t b = 0; b < nblocks; b++) {
+      AURORA_ASSIGN_OR_RETURN(uint64_t block, r.U64());
+      if (block >= size_blocks) {
+        return Status::Error(Errc::kCorrupt, "stream block past its object's size");
+      }
+      if (!data.blocks.empty() && block <= data.blocks.rbegin()->first) {
+        return Status::Error(Errc::kCorrupt, "stream blocks out of order");
+      }
+      AURORA_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
+      std::vector<uint8_t> contents;
+      if (tag == kStreamBlockRaw) {
+        contents.resize(block_size);
+        AURORA_RETURN_IF_ERROR(r.Raw(contents.data(), contents.size()));
+      } else if (tag == kStreamBlockRef) {
+        // Back-reference to a raw block decoded earlier in this same stream:
+        // a completed object's, or an earlier block of this one.
+        AURORA_ASSIGN_OR_RETURN(uint64_t src_idx, r.U64());
+        AURORA_ASSIGN_OR_RETURN(uint64_t src_block, r.U64());
+        const std::vector<uint8_t>* src = nullptr;
+        if (src_idx <= i && ref_blocks.count({src_idx, src_block}) == 0) {
+          const auto& blocks = src_idx == i ? data.blocks : payload.objects[src_idx].second.blocks;
+          auto it = blocks.find(src_block);
+          src = it == blocks.end() ? nullptr : &it->second;
+        }
+        if (src == nullptr) {
+          return Status::Error(Errc::kCorrupt, "stream dedup ref names no earlier raw block");
+        }
+        contents = *src;
+        ref_blocks.emplace(i, block);
+      } else {
+        return Status::Error(Errc::kCorrupt, "bad stream block tag");
+      }
+      data.blocks.emplace_hint(data.blocks.end(), block, std::move(contents));
+    }
+    payload.objects.emplace_back(oid, std::move(data));
+  }
+  if (!r.AtEnd()) {
+    return Status::Error(Errc::kCorrupt, "trailing bytes after the checkpoint stream");
+  }
+  return payload;
+}
+
+std::vector<uint8_t> EncodeReplChunk(const ReplChunk& chunk) {
+  BinaryWriter w;
+  PutReplHead(w, chunk);
+  PutStream(w, chunk.stream, /*dedup=*/false);
+  return SealChunk(w);
+}
+
+Result<ReplChunk> DecodeReplChunk(std::span<const uint8_t> bytes) {
+  if (bytes.size() < sizeof(uint32_t)) {
+    return Status::Error(Errc::kCorrupt, "truncated replication chunk");
+  }
+  size_t body = bytes.size() - sizeof(uint32_t);
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data() + body, sizeof(crc));
+  if (Crc32c(bytes.data(), body) != crc) {
+    return Status::Error(Errc::kCorrupt, "replication chunk CRC mismatch");
+  }
+  BinaryReader r(bytes.data(), body);
+  ReplChunk chunk;
+  AURORA_RETURN_IF_ERROR(ReadReplHead(r, &chunk));
+  AURORA_ASSIGN_OR_RETURN(
+      chunk.stream, DecodeCheckpointStream(bytes.subspan(r.pos(), body - r.pos()), kPageSize));
+  return chunk;
+}
+
+Result<ReplChunk> PeekReplChunk(std::span<const uint8_t> bytes) {
+  BinaryReader r(bytes.data(), bytes.size());
+  ReplChunk chunk;
+  AURORA_RETURN_IF_ERROR(ReadReplHead(r, &chunk));
+  AURORA_RETURN_IF_ERROR(ReadStreamHead(r, &chunk.stream));
+  return chunk;
 }
 
 // -----------------------------------------------------------------------------
@@ -683,7 +686,7 @@ std::vector<ReplFrame> ReplicaLink::TakeDeliverable() {
   std::vector<ReplFrame> out = std::move(wire_);
   wire_.clear();
   // The zero-rate guards keep fault-free runs from consuming RNG draws
-  // (bit-identical timelines, same discipline as the lossy-link model).
+  // (bit-identical timelines).
   if (faults_.duplicate_rate > 0.0) {
     std::vector<ReplFrame> with_dups;
     with_dups.reserve(out.size());
@@ -722,7 +725,7 @@ Status ReplicaStandby::LeaseCheck() const {
   if (link_->last_heartbeat() == 0) {
     return Status::Ok();  // never heard from a primary; nothing to wait out
   }
-  if (standby_sim_->clock.now() <= link_->last_heartbeat() + lease_) {
+  if (sim_->clock.now() <= link_->last_heartbeat() + lease_) {
     return Status::Error(Errc::kBusy,
                          "primary lease still fresh; refusing failover (split-brain guard)");
   }
@@ -730,37 +733,43 @@ Status ReplicaStandby::LeaseCheck() const {
 }
 
 void ReplicaStandby::Pump() {
-  MetricsRegistry& metrics = standby_sim_->metrics;
+  MetricsRegistry& metrics = sim_->metrics;
   for (ReplFrame& f : link_->TakeDeliverable()) {
-    if (f.epoch <= applied_epoch_) {
+    // Placement comes from the unvalidated header; the CRC over the whole
+    // chunk is checked when its epoch applies.
+    Result<ReplChunk> head = PeekReplChunk(f.bytes);
+    if (!head.ok()) {
+      metrics.counter("repl.crc_failures").Add();  // unplaceable: wait for re-delivery
+      continue;
+    }
+    uint64_t epoch = head->stream.epoch;
+    if (epoch <= applied_epoch_) {
       // Replayed delivery of an epoch already applied: legal under
       // at-least-once delivery, and ingest is idempotent.
       metrics.counter("repl.dup_frames_ignored").Add();
       continue;
     }
-    PendingEpoch& p = pending_[f.epoch];
-    if (f.attempt < p.attempt) {
+    PendingEpoch& p = pending_[epoch];
+    if (head->attempt < p.attempt) {
       // Leftover of an aborted ship this epoch already superseded.
       metrics.counter("repl.stale_attempt_frames").Add();
       continue;
     }
-    if (f.attempt > p.attempt) {
+    if (head->attempt > p.attempt) {
       // Fresh re-ship after the primary aborted this epoch's stream: the
       // new attempt supersedes whatever the old one delivered.
       p = PendingEpoch{};
-      p.attempt = f.attempt;
+      p.attempt = head->attempt;
     }
-    if (p.frames.count(f.seq) > 0) {
+    if (p.frames.count(head->seq) > 0) {
       metrics.counter("repl.dup_frames_ignored").Add();
       continue;
     }
-    p.max_seq_seen = std::max(p.max_seq_seen, f.seq);
     p.last_arrival = std::max(p.last_arrival, f.arrival);
-    if (f.commit) {
-      p.nframes = f.nframes;
+    if (head->commit()) {
+      p.nframes = head->nframes;
     }
-    uint64_t seq = f.seq;
-    p.frames.emplace(seq, std::move(f));
+    p.frames.emplace(head->seq, std::move(f));
     metrics.counter("repl.frames_ingested").Add();
   }
   ApplyReady();
@@ -780,104 +789,110 @@ void ReplicaStandby::ApplyReady() {
     }
     PendingEpoch& p = it->second;
     if (p.nframes == 0 || p.frames.size() < p.nframes) {
-      break;  // still streaming (or the commit frame is still in flight)
+      break;  // still streaming (or the commit chunk is still in flight)
     }
-    if (!ValidateEpoch(p)) {
+    Result<std::vector<ReplChunk>> chunks = ValidateEpoch(p);
+    if (!chunks.ok()) {
       // Torn or corrupted epoch: discard it whole and poison the chain.
       // Later epochs are deltas on top of this one, so nothing applies past
       // the gap until the link (at-least-once) re-delivers this epoch intact.
       poisoned_epoch_ = next;
       pending_.erase(it);
-      standby_sim_->metrics.counter("repl.epochs_rolled_back").Add();
+      sim_->metrics.counter("repl.epochs_rolled_back").Add();
       break;
     }
     validated_epoch_ = next;
-    PendingEpoch taken = std::move(p);
+    SimTime last_arrival = p.last_arrival;
     pending_.erase(it);
-    ApplyEpoch(next, std::move(taken));
+    ApplyEpoch(next, last_arrival, *chunks);
     if (poisoned_epoch_ == next) {
       poisoned_epoch_ = 0;  // a clean re-delivery healed the chain
     }
   }
 }
 
-bool ReplicaStandby::ValidateEpoch(const PendingEpoch& p) {
+Result<std::vector<ReplChunk>> ReplicaStandby::ValidateEpoch(const PendingEpoch& p) {
   if (p.nframes == 0 || p.frames.size() != p.nframes) {
-    return false;
+    return Status::Error(Errc::kCorrupt, "epoch incomplete");
   }
+  std::vector<ReplChunk> chunks;
   uint64_t expect = 0;
   for (const auto& [seq, f] : p.frames) {
     if (seq != expect++) {
-      return false;  // a seq gap means frames.size() lied via duplicates
+      // A seq gap means frames.size() lied via duplicates.
+      return Status::Error(Errc::kCorrupt, "epoch has a chunk gap");
     }
-    if (f.ComputeCrc() != f.crc) {
-      standby_sim_->metrics.counter("repl.crc_failures").Add();
-      return false;
+    Result<ReplChunk> chunk = DecodeReplChunk(f.bytes);
+    if (!chunk.ok()) {
+      sim_->metrics.counter("repl.crc_failures").Add();
+      return chunk.status();
     }
+    chunks.push_back(std::move(*chunk));
   }
-  return p.frames.rbegin()->second.commit;
+  if (!chunks.back().commit()) {
+    return Status::Error(Errc::kCorrupt, "epoch stream does not end in its commit");
+  }
+  return chunks;
 }
 
-void ReplicaStandby::ApplyEpoch(uint64_t epoch, PendingEpoch&& p) {
-  SimTime start = std::max(standby_sim_->clock.now(),
-                           std::max(ingest_busy_until_, p.last_arrival));
-  uint64_t bytes = 0;
+void ReplicaStandby::ApplyEpoch(uint64_t epoch, SimTime last_arrival,
+                                std::vector<ReplChunk>& chunks) {
+  SimTime start = std::max(sim_->clock.now(), std::max(ingest_busy_until_, last_arrival));
   uint64_t pages = 0;
-  const ReplFrame* commit = nullptr;
-  for (auto& [seq, f] : p.frames) {
-    if (f.commit) {
-      commit = &f;
-      continue;
-    }
-    std::shared_ptr<VmObject>& warm = warm_[f.oid];
-    if (warm == nullptr || warm->size() < f.object_size) {
-      // VmObject sizes are fixed at creation: growth rebuilds the warm image
-      // at the new size, carrying the previously patched pages over.
-      auto grown = VmObject::CreateAnonymous(f.object_size);
-      if (warm != nullptr) {
-        for (const auto& [pgidx, frame] : warm->pages()) {
-          grown->InstallPage(pgidx, frame->data.data());
-        }
+  for (ReplChunk& chunk : chunks) {
+    for (auto& [oid, data] : chunk.stream.objects) {
+      std::shared_ptr<VmObject>& warm = warm_[oid];
+      if (warm == nullptr || warm->size() < data.size) {
+        // VmObject sizes are fixed at creation: growth rebuilds the warm
+        // image at the new size from the pages applied so far.
+        warm = VmObject::CreateAnonymous(data.size);
+        InstallImage(oid, warm.get());
       }
-      warm = std::move(grown);
-    }
-    for (const auto& [pgidx, data] : f.pages) {
-      StagePage(f.oid, f.object_size, pgidx, data.data());
-      warm->InstallPage(pgidx, data.data());
-      pages++;
-      bytes += kPageSize;
+      for (auto& [pgidx, page] : data.blocks) {
+        warm->InstallPage(pgidx, page.data());
+        StagePage(oid, data.size, pgidx, std::move(page));
+        pages++;
+      }
     }
   }
   // Ingest runs on the standby's own cores: CRC validation plus the copy
   // into the image table and the warm patch. It accumulates into the ingest
   // timeline rather than advancing the clock — a restore joins it once.
-  ingest_busy_until_ = start + standby_sim_->cost.ContentHash(bytes) +
-                       standby_sim_->cost.MemCopy(2 * bytes);
-  if (commit != nullptr) {
-    SealAt(epoch, commit->group, commit->ckpt_name, commit->manifest, ingest_busy_until_);
-  }
+  uint64_t bytes = pages * kPageSize;
+  ingest_busy_until_ = start + sim_->cost.ContentHash(bytes) + sim_->cost.MemCopy(2 * bytes);
+  const ReplChunk& commit = chunks.back();
+  SealAt(epoch, ManifestGroup(commit.stream.manifest), commit.ckpt_name, commit.stream.manifest,
+         ingest_busy_until_);
   applied_epoch_ = epoch;
   pages_applied_total_ += pages;
-  MetricsRegistry& metrics = standby_sim_->metrics;
+  MetricsRegistry& metrics = sim_->metrics;
   metrics.counter("repl.epochs_applied").Add();
   metrics.counter("repl.pages_applied").Add(pages);
   metrics.counter("repl.bytes_applied").Add(bytes);
 }
 
-bool ReplicaStandby::CorruptPendingPage(uint64_t epoch) {
+bool ReplicaStandby::CorruptPendingChunk(uint64_t epoch, uint64_t seq, size_t offset) {
   auto it = pending_.find(epoch);
   if (it == pending_.end()) {
     return false;
   }
-  for (auto& [seq, f] : it->second.frames) {
-    if (f.commit || f.pages.empty()) {
-      continue;
-    }
-    f.pages.begin()->second[0] ^= 0xFF;  // CRC left stale on purpose
-    standby_sim_->metrics.counter("repl.injected_corruptions").Add();
-    return true;
+  auto f = it->second.frames.find(seq);
+  if (f == it->second.frames.end() || offset >= f->second.bytes.size()) {
+    return false;
   }
-  return false;
+  f->second.bytes[offset] ^= 0xFF;  // CRC left stale on purpose
+  sim_->metrics.counter("repl.injected_corruptions").Add();
+  return true;
+}
+
+bool ReplicaStandby::CorruptPendingPage(uint64_t epoch) {
+  auto it = pending_.find(epoch);
+  if (it == pending_.end() || it->second.frames.empty()) {
+    return false;
+  }
+  // A data chunk's stream ends with its last page, right before the CRC.
+  const auto& [seq, first] = *it->second.frames.begin();
+  return CorruptPendingChunk(epoch, seq, first.bytes.size() - sizeof(uint32_t) - 1);
 }
 
 Result<ReplicaStandby::FailoverPlan> ReplicaStandby::PrepareFailover(bool force) {
@@ -887,7 +902,7 @@ Result<ReplicaStandby::FailoverPlan> ReplicaStandby::PrepareFailover(bool force)
   if (!force) {
     AURORA_RETURN_IF_ERROR(LeaseCheck());
   }
-  MetricsRegistry& metrics = standby_sim_->metrics;
+  MetricsRegistry& metrics = sim_->metrics;
   uint64_t applied_before = applied_epoch_;
   uint64_t pages_before = pages_applied_total_;
   // Validated speculation: whatever is already through the wire — including
@@ -919,54 +934,42 @@ void ReplicaStandby::Demote() {
   warm_.clear();
   // The previous warm set now belongs to the promoted incarnation: rebuild
   // fresh images from the applied table, charged to the ingest timeline.
-  uint64_t bytes = 0;
+  uint64_t pages = 0;
   for (const auto& [oid, img] : object_table()) {
     if (img.size == 0 && img.pages.empty()) {
       continue;
     }
     auto obj = VmObject::CreateAnonymous(img.size);
-    for (const auto& [pgidx, data] : img.pages) {
-      obj->InstallPage(pgidx, data.data());
-      bytes += kPageSize;
-    }
+    pages += InstallImage(oid, obj.get());
     warm_[oid] = std::move(obj);
   }
-  ingest_busy_until_ = std::max(ingest_busy_until_, standby_sim_->clock.now()) +
-                       standby_sim_->cost.MemCopy(bytes);
-  standby_sim_->metrics.counter("repl.demotions").Add();
+  ingest_busy_until_ = std::max(ingest_busy_until_, sim_->clock.now()) +
+                       sim_->cost.MemCopy(pages * kPageSize);
+  sim_->metrics.counter("repl.demotions").Add();
 }
 
 Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMode mode,
                                                       std::shared_ptr<SimTime> stream_done) {
   if (!promoted_ || mode != RestoreMode::kFull) {
-    return MemoryBackend::MakeResolver(epoch, mode, stream_done);
+    return CheckpointBackend::MakeResolver(epoch, mode, stream_done);
   }
   // Warm failover: the continuously-patched images ARE the restored memory —
   // no copy, the restore just joins the ingest timeline. Only objects the
-  // stream never shipped pages for materialize cold from the image table.
+  // stream never shipped pages for stream cold from the image table.
   *stream_done = std::max(*stream_done, ingest_busy_until_);
-  SimContext* sim = standby_sim_;
-  return MemoryResolverFn(
-      [this, sim, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-        auto warm = warm_.find(oid.value);
-        if (warm != warm_.end() && warm->second->size() >= size) {
-          std::shared_ptr<VmObject> obj = std::move(warm->second);
-          warm_.erase(warm);
-          sim->metrics.counter("repl.warm_restores").Add();
-          return ResolvedMemory{std::move(obj), false};
-        }
-        auto obj = VmObject::CreateAnonymous(size);
-        uint64_t copied = 0;
-        if (const ObjectImage* img = FindObject(oid.value)) {
-          for (const auto& [pgidx, data] : img->pages) {
-            obj->InstallPage(pgidx, data.data());
-            copied += kPageSize;
-          }
-        }
-        *stream_done = std::max(*stream_done, ingest_busy_until_ + sim->cost.MemCopy(copied));
-        sim->metrics.counter("repl.cold_restores").Add();
-        return ResolvedMemory{std::move(obj), false};
-      });
+  AURORA_ASSIGN_OR_RETURN(MemoryResolverFn cold,
+                          CheckpointBackend::MakeResolver(epoch, mode, stream_done));
+  return MemoryResolverFn([this, cold](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+    auto warm = warm_.find(oid.value);
+    if (warm != warm_.end() && warm->second->size() >= size) {
+      std::shared_ptr<VmObject> obj = std::move(warm->second);
+      warm_.erase(warm);
+      sim_->metrics.counter("repl.warm_restores").Add();
+      return ResolvedMemory{std::move(obj), false};
+    }
+    sim_->metrics.counter("repl.cold_restores").Add();
+    return cold(oid, size);
+  });
 }
 
 std::vector<std::string> ReplicaStandby::Describe() const {
@@ -992,8 +995,41 @@ std::vector<std::string> ReplicaStandby::Describe() const {
 // ReplicaBackend
 // -----------------------------------------------------------------------------
 
-Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_bytes) {
-  MetricsRegistry& metrics = prim_sim_->metrics;
+Status ReplicaBackend::AwaitLink(const char* giveup) {
+  MetricsRegistry& metrics = sim_->metrics;
+  SimDuration backoff = hb_.backoff;
+  for (int attempt = 1; link_->partitioned(); attempt++) {
+    metrics.counter("net.timeouts").Add();
+    if (attempt >= hb_.max_attempts) {
+      metrics.counter("net.partitions").Add();
+      return Status::Error(Errc::kUnavailable, giveup);
+    }
+    metrics.counter("io.retries").Add();
+    metrics.counter("net.reconnects").Add();
+    sim_->clock.Advance(backoff);
+    backoff *= 2;
+  }
+  return Status::Ok();
+}
+
+ReplChunk ReplicaBackend::NextChunk() {
+  if (!streaming_) {
+    // (Re)start this epoch's stream. A fresh attempt id makes the standby
+    // discard partial chunks from an earlier aborted ship of the same epoch
+    // rather than mixing the two streams.
+    attempt_++;
+    seq_ = 0;
+    streaming_ = true;
+  }
+  ReplChunk chunk;
+  chunk.attempt = attempt_;
+  chunk.seq = seq_;
+  chunk.stream.epoch = epoch_;
+  return chunk;
+}
+
+Result<SimTime> ReplicaBackend::ShipChunk(std::vector<uint8_t> bytes, uint64_t payload_bytes) {
+  MetricsRegistry& metrics = sim_->metrics;
   if (crash_armed_ && crash_fuse_ == 0) {
     crashed_ = true;
   }
@@ -1001,38 +1037,27 @@ Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_byte
     streaming_ = false;
     return Status::Error(Errc::kUnavailable, "primary crashed");
   }
-  // Partition probe with exponential backoff: heartbeat-scale retries, then
-  // a typed giveup so the epoch aborts upstream instead of wedging.
-  SimDuration backoff = hb_.backoff;
-  for (int attempt = 1; link_->partitioned(); attempt++) {
-    metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
-      metrics.counter("io.giveups").Add();
-      metrics.counter("net.partitions").Add();
-      streaming_ = false;  // a later retry re-ships the epoch under a new attempt id
-      return Status::Error(Errc::kUnavailable,
-                           "replica link partitioned: send retries exhausted");
-    }
-    metrics.counter("io.retries").Add();
-    metrics.counter("net.reconnects").Add();
-    prim_sim_->clock.Advance(backoff);
-    backoff *= 2;
+  // Heartbeat-scale retries, then a typed giveup so the epoch aborts
+  // upstream instead of wedging; a later retry re-ships the epoch under a
+  // new attempt id.
+  Status up = AwaitLink("replica link partitioned: send retries exhausted");
+  if (!up.ok()) {
+    metrics.counter("io.giveups").Add();
+    streaming_ = false;
+    return up;
   }
-  AURORA_ASSIGN_OR_RETURN(SimTime arrival, QueueTransfer(payload_bytes));
-  frame.sent_at = prim_sim_->clock.now();
-  frame.arrival = arrival;
-  frame.crc = frame.ComputeCrc();
-  SimTime sent_at = frame.sent_at;
-  if (!link_->Push(std::move(frame))) {
-    // The partition fuse blew on this very frame: a mid-epoch cut.
+  SimTime arrival = QueueTransferOn(lanes_.NextLane(), payload_bytes);
+  if (!link_->Push(ReplFrame{std::move(bytes), arrival})) {
+    // The partition fuse blew on this very chunk: a mid-epoch cut.
     metrics.counter("net.partitions").Add();
     streaming_ = false;
     return Status::Error(Errc::kUnavailable, "replica link partitioned mid-epoch");
   }
-  // Every frame doubles as a heartbeat — a healthy stream keeps the lease
+  // Every chunk doubles as a heartbeat — a healthy stream keeps the lease
   // fresh without dedicated liveness traffic.
-  link_->RecordHeartbeat(sent_at);
+  link_->RecordHeartbeat(sim_->clock.now());
   metrics.counter("repl.frames_shipped").Add();
+  seq_++;
   if (crash_armed_) {
     if (crash_fuse_ > 0) {
       crash_fuse_--;
@@ -1045,62 +1070,39 @@ Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_byte
 }
 
 Status ReplicaBackend::SendHeartbeat() {
-  MetricsRegistry& metrics = prim_sim_->metrics;
   if (crashed_) {
     return Status::Error(Errc::kUnavailable, "primary crashed");
   }
-  SimDuration backoff = hb_.backoff;
-  for (int attempt = 1; link_->partitioned(); attempt++) {
-    metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
-      metrics.counter("net.partitions").Add();
-      return Status::Error(Errc::kUnavailable, "replica link partitioned: heartbeat lost");
-    }
-    metrics.counter("io.retries").Add();
-    metrics.counter("net.reconnects").Add();
-    prim_sim_->clock.Advance(backoff);
-    backoff *= 2;
-  }
-  link_->RecordHeartbeat(prim_sim_->clock.now());
-  metrics.counter("repl.heartbeats").Add();
+  AURORA_RETURN_IF_ERROR(AwaitLink("replica link partitioned: heartbeat lost"));
+  link_->RecordHeartbeat(sim_->clock.now());
+  sim_->metrics.counter("repl.heartbeats").Add();
   return Status::Ok();
 }
 
 Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) {
-  if (!streaming_) {
-    // (Re)start this epoch's stream. A fresh attempt id makes the standby
-    // discard partial frames from an earlier aborted ship of the same epoch
-    // rather than mixing the two streams.
-    attempt_++;
-    seq_ = 0;
-    streaming_ = true;
+  ReplChunk chunk = NextChunk();
+  if (obj->pages().empty()) {
+    return sim_->clock.now();
   }
-  ReplFrame frame;
-  frame.epoch = epoch_;
-  frame.attempt = attempt_;
-  frame.seq = seq_;
-  frame.oid = oid.value;
-  frame.object_size = obj->size();
-  // Raw pages, no dedup references: the standby validates each frame as a
+  // Raw pages, no dedup references: the standby validates each chunk as a
   // self-contained unit, so a reference into state it might not hold yet
   // could never be checked. Bandwidth is the NetBackend's problem space.
-  uint64_t payload = 0;
+  // The pages go straight from the object into the chunk (EncodeReplChunk's
+  // layout, without staging a StreamPayload copy).
+  BinaryWriter w;
+  w.Reserve(obj->pages().size() * (kPageSize + 9) + 128);
+  PutReplHead(w, chunk);
+  PutStreamHead(w, chunk.stream, 1);
+  PutObjectHead(w, oid.value, obj->size(), obj->pages().size());
   for (const auto& [pgidx, pf] : obj->pages()) {
-    frame.pages[pgidx].assign(pf->data.data(), pf->data.data() + kPageSize);
-    payload += kPageSize + kPageHeaderBytes;
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    if (bytes != nullptr) {
-      *bytes += kPageSize;
-    }
+    PutRawBlock(w, pgidx, pf->data.data(), kPageSize);
   }
-  if (frame.pages.empty()) {
-    return prim_sim_->clock.now();
-  }
-  AURORA_ASSIGN_OR_RETURN(SimTime done, ShipFrame(std::move(frame), payload));
-  seq_++;
+  uint64_t n = obj->pages().size();
+  *pages += n;
+  *bytes += n * kPageSize;
+  AURORA_ASSIGN_OR_RETURN(SimTime done,
+                          ShipChunk(SealChunk(w), n * (kPageSize + kPageHeaderBytes)));
   obj->set_busy_until(done);
   return done;
 }
@@ -1108,31 +1110,14 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
 Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
   (void)replaces_manifest;  // the standby's image table is append-only
-  if (!streaming_) {
-    attempt_++;
-    seq_ = 0;
-    streaming_ = true;
-  }
-  std::string group;
-  if (!manifest.empty()) {
-    auto head = PeekManifest(manifest);
-    if (head.ok()) {
-      group = head->name;
-    }
-  }
-  ReplFrame frame;
-  frame.epoch = epoch_;
-  frame.attempt = attempt_;
-  frame.seq = seq_;
-  frame.commit = true;
-  frame.group = group;
-  frame.ckpt_name = ckpt_name;
-  frame.manifest = manifest;
-  frame.nframes = seq_ + 1;
-  // The commit frame leaves only after every stream lane drained: the
+  ReplChunk chunk = NextChunk();
+  chunk.nframes = chunk.seq + 1;
+  chunk.ckpt_name = ckpt_name;
+  chunk.stream.manifest = manifest;
+  // The commit chunk leaves only after every stream lane drained: the
   // standby must hold the whole epoch before its commit record.
   lanes_ = LaneSchedule(lanes_.lanes(), std::max(sim_->clock.now(), lanes_.Makespan()));
-  AURORA_ASSIGN_OR_RETURN(SimTime done, ShipFrame(std::move(frame), manifest.size() + 64));
+  AURORA_ASSIGN_OR_RETURN(SimTime done, ShipChunk(EncodeReplChunk(chunk), manifest.size() + 64));
   lanes_ = LaneSchedule(lanes_.lanes(), done);
   if (crashed_) {
     // The commit record left the NIC, but the host died before the commit
@@ -1147,11 +1132,11 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
   seq_ = 0;
   streaming_ = false;
   epoch_++;
-  prim_sim_->metrics.counter("backend." + name() + ".epochs_committed").Add();
+  sim_->metrics.counter("backend." + name() + ".epochs_committed").Add();
   // Continuous ingest: the standby pumps on every commit (the co-hosted
   // simulation's stand-in for its ingest loop).
   standby_->Pump();
-  auto rec = standby_->FindImage(group, info.epoch);
+  auto rec = standby_->FindImage(ManifestGroup(manifest), info.epoch);
   if (rec.ok()) {
     info.manifest_oid = (*rec)->manifest_oid;
   }
@@ -1213,113 +1198,6 @@ Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* sto
   AURORA_RETURN_IF_ERROR(
       store->ReadAtEpoch(loaded.epoch, loaded.oid, 0, loaded.blob.data(), loaded.blob.size()));
   return loaded;
-}
-
-// -----------------------------------------------------------------------------
-// Migration stream codec
-// -----------------------------------------------------------------------------
-
-namespace {
-constexpr uint8_t kStreamBlockRaw = 0;
-constexpr uint8_t kStreamBlockRef = 1;
-}  // namespace
-
-std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload) {
-  BinaryWriter w;
-  w.PutU32(kStreamMagic);
-  w.PutU64(payload.epoch);
-  w.PutU64(payload.since_epoch);
-  w.PutBytes(payload.manifest.data(), payload.manifest.size());
-  w.PutU64(payload.objects.size());
-  // Blocks already emitted in this stream, by content. A repeated block
-  // encodes as a back-reference the receiver resolves locally; the memcmp
-  // guards against a (vanishingly unlikely) content-key collision turning
-  // into silent corruption on the peer. References name the source by its
-  // position in the stream (object index, block), not by oid — the same oid
-  // can legitimately appear more than once (objects shared across processes).
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> seen;  // key -> (obj index, block)
-  for (uint64_t idx = 0; idx < payload.objects.size(); idx++) {
-    const auto& [oid, data] = payload.objects[idx];
-    w.PutU64(oid);
-    w.PutU64(data.size);
-    w.PutU64(data.blocks.size());
-    for (const auto& [block, raw] : data.blocks) {
-      w.PutU64(block);
-      ContentKey key = ContentHash128(raw.data(), raw.size());
-      const std::vector<uint8_t>* src = nullptr;
-      auto cached = seen.find(key);
-      if (cached != seen.end()) {
-        const auto& blocks = payload.objects[cached->second.first].second.blocks;
-        auto it = blocks.find(cached->second.second);
-        src = it == blocks.end() ? nullptr : &it->second;
-      }
-      if (src != nullptr && src->size() == raw.size() &&
-          std::memcmp(src->data(), raw.data(), raw.size()) == 0) {
-        w.PutU8(kStreamBlockRef);
-        w.PutU64(cached->second.first);
-        w.PutU64(cached->second.second);
-      } else {
-        w.PutU8(kStreamBlockRaw);
-        w.PutRaw(raw.data(), raw.size());
-        seen[key] = {idx, block};
-      }
-    }
-  }
-  return w.Take();
-}
-
-Result<StreamPayload> DecodeCheckpointStream(const std::vector<uint8_t>& bytes,
-                                             uint32_t block_size) {
-  BinaryReader r(bytes);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  if (magic != kStreamMagic) {
-    return Status::Error(Errc::kCorrupt, "bad checkpoint stream");
-  }
-  StreamPayload payload;
-  AURORA_ASSIGN_OR_RETURN(payload.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(payload.since_epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(payload.manifest, r.Bytes());
-  AURORA_ASSIGN_OR_RETURN(uint64_t nmem, r.U64());
-  for (uint64_t i = 0; i < nmem; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
-    StreamPayload::ObjectData data;
-    AURORA_ASSIGN_OR_RETURN(data.size, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t nblocks, r.U64());
-    for (uint64_t b = 0; b < nblocks; b++) {
-      AURORA_ASSIGN_OR_RETURN(uint64_t block, r.U64());
-      AURORA_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
-      if (tag == kStreamBlockRaw) {
-        std::vector<uint8_t> raw(block_size);
-        AURORA_RETURN_IF_ERROR(r.Raw(raw.data(), raw.size()));
-        data.blocks[block] = std::move(raw);
-      } else if (tag == kStreamBlockRef) {
-        // Back-reference to a block decoded earlier in this same stream —
-        // by stream position: a completed object's index, or this object's
-        // own index for an earlier block of it.
-        uint64_t src_idx = 0;
-        uint64_t src_block = 0;
-        AURORA_ASSIGN_OR_RETURN(src_idx, r.U64());
-        AURORA_ASSIGN_OR_RETURN(src_block, r.U64());
-        const std::vector<uint8_t>* src = nullptr;
-        if (src_idx == i) {
-          auto it = data.blocks.find(src_block);
-          src = it == data.blocks.end() ? nullptr : &it->second;
-        } else if (src_idx < payload.objects.size()) {
-          const auto& blocks = payload.objects[src_idx].second.blocks;
-          auto it = blocks.find(src_block);
-          src = it == blocks.end() ? nullptr : &it->second;
-        }
-        if (src == nullptr) {
-          return Status::Error(Errc::kCorrupt, "stream dedup ref names an unseen block");
-        }
-        data.blocks[block] = *src;
-      } else {
-        return Status::Error(Errc::kCorrupt, "bad stream block tag");
-      }
-    }
-    payload.objects.emplace_back(oid, std::move(data));
-  }
-  return payload;
 }
 
 }  // namespace aurora

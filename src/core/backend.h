@@ -2,11 +2,18 @@
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
 // object store, RAM-resident snapshot images (the memory-backend ablation),
-// and a remote machine over the NIC (`sls send` / `sls recv`). The Sls
+// a remote machine over the NIC (`sls send` / `sls recv`), and a warm
+// standby fed continuously over a replication link. The Sls
 // checkpoint/restore engine talks to all of them through CheckpointBackend,
 // so the pipeline stages — quiesce, serialize, shadow, resume, async flush,
 // commit, release — are written once and the destination only decides where
 // bytes land and what each transfer costs.
+//
+// Restores and the swap path are written once too: a backend is a page
+// source (ReadPage for one page of an object at an epoch, StreamObject for a
+// whole object) and CheckpointBackend builds the eager and lazy resolvers and
+// installs demand pagers on top of it. Bytes that cross a machine boundary
+// use one wire format, the "ASND" stream declared below.
 //
 // Durability timing model: WriteObjectPages/CommitEpoch stage their data
 // synchronously (the simulation's state is updated immediately) but return
@@ -18,7 +25,7 @@
 
 #include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +45,10 @@ namespace aurora {
 // on the memory and net backends (the store backend dedups inside
 // ObjectStore::StoreBlockCow instead).
 constexpr uint64_t kDedupRefBytes = 16;
+
+// ReadPage's epoch for the backend's newest state: what the swap path pages
+// evicted frames back from. Committed epochs are numbered from 1.
+constexpr uint64_t kLiveEpoch = 0;
 
 enum class CheckpointMode {
   kFull,        // serialize + shadow + flush to the backend + commit
@@ -59,9 +70,10 @@ class CheckpointBackend {
   // Fans this backend's flush/restore work over `lanes` parallel lanes
   // (cores driving device queues, flusher threads, or NIC streams). Work
   // completion becomes the makespan over lanes instead of a serial sum;
-  // 1 lane is the exact historical serial timeline. Backends without a
-  // parallelizable flusher ignore it.
-  virtual void SetFlushLanes(int lanes) { (void)lanes; }
+  // 1 lane is the exact historical serial timeline. Reconfiguring is a
+  // barrier: new lanes all start where the old schedule would have drained,
+  // so no queued work is forgotten.
+  virtual void SetFlushLanes(int lanes) { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
 
   // --- Checkpoint destination ----------------------------------------------
   // Epoch the next commit will seal (matches ObjectStore::current_epoch()).
@@ -72,8 +84,8 @@ class CheckpointBackend {
   // kInvalidOid and the manifest simply records no namespace.
   [[nodiscard]] virtual Result<Oid> PersistNamespace() = 0;
   // Ships every resident page of `obj` to the object named `oid`, returning
-  // the simulated time the pages are durable at the destination. Increments
-  // *pages / *bytes per page shipped when non-null.
+  // the simulated time the pages are durable at the destination. Adds the
+  // pages and bytes shipped to *pages and *bytes.
   [[nodiscard]] virtual Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                          uint64_t* bytes) = 0;
   // Flushes file data dirtied since the last checkpoint (checkpoint
@@ -103,19 +115,44 @@ class CheckpointBackend {
                                                             uint64_t epoch) = 0;
   // Rolls the file-system namespace back to the checkpointed one.
   [[nodiscard]] virtual Status RestoreNamespace(uint64_t epoch, Oid ns_oid) = 0;
-  // Builds the memory resolver RestoreOsState uses to materialize each
-  // region object. kFull resolvers stream eagerly and accumulate their read
-  // completion into *stream_done (the caller advances to it once at the
-  // end); kLazy resolvers install demand pagers.
-  [[nodiscard]] virtual Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) = 0;
 
-  // --- Unified checkpoint/swap path (paper section 6) ----------------------
-  // Backs the fully-durable, parentless object `base` with this backend so
-  // dropped frames stream back on fault. Returns false when `base` cannot be
-  // safely paged (no oid, mid-chain, ...) — the caller must then keep its
-  // frames resident.
-  virtual bool InstallPager(VmObject* base) = 0;
+  // --- Page source: the only per-backend restore code ----------------------
+  // Reads page `pgidx` of `oid` as of `epoch` (kLiveEpoch: the newest state)
+  // into `out`, one kPageSize page, charging one demand fault. False when
+  // the backend holds no data for that page: the fault then zero-fills
+  // without making the page resident.
+  virtual bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) = 0;
+
+  // State one eager restore shares across every object it streams.
+  struct RestoreStream {
+    LaneSchedule lanes;             // independent objects stream in parallel
+    SimTime wire = 0;               // byte occupancy of a shared link
+    std::shared_ptr<SimTime> done;  // completion the caller joins at the end
+  };
+  // Installs every page of `oid` at `epoch` into `obj` and folds the read
+  // completion into *stream->done (the restore does not wait per object).
+  [[nodiscard]] virtual Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                            RestoreStream* stream) = 0;
+
+  // --- Written once on top of the page source ------------------------------
+  // The memory resolver RestoreOsState uses to materialize each region
+  // object: kFull streams objects eagerly through StreamObject, the stream
+  // starting at *stream_done; kLazy installs a ReadPage demand pager per
+  // object. kFromMemory reads no backend and is rejected.
+  [[nodiscard]] virtual Result<MemoryResolverFn> MakeResolver(
+      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done);
+
+  // Unified checkpoint/swap path (paper section 6): backs the fully-durable,
+  // parentless object `base` with a kLiveEpoch pager so dropped frames
+  // stream back on fault. Returns false when `base` cannot be safely paged
+  // (no oid, mid-chain, ...) — the caller must then keep its frames
+  // resident.
+  bool InstallPager(VmObject* base);
+
+ protected:
+  // Flush lanes for backends that schedule their own flusher (memory
+  // copies, NIC streams); eager restores fan out over the same width.
+  LaneSchedule lanes_{1};
 };
 
 // -----------------------------------------------------------------------------
@@ -144,9 +181,9 @@ class StoreBackend : public CheckpointBackend {
   [[nodiscard]] Status RestoreNamespace(uint64_t epoch, Oid ns_oid) override {
     return fs_->RestoreNamespace(epoch, ns_oid);
   }
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
+  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) override;
 
   ObjectStore* store() { return store_; }
 
@@ -160,6 +197,11 @@ class StoreBackend : public CheckpointBackend {
   AuroraFs* fs_;
   std::string name_ = "store";
 };
+
+// Sender-side content cache of a deduplicating flusher: key -> (oid, pgidx)
+// of a staged page known to have held that content. Entries go stale when
+// the page is restaged, so a hit is only trusted after a byte compare.
+using PageContentCache = std::map<ContentKey, std::pair<uint64_t, uint64_t>>;
 
 // -----------------------------------------------------------------------------
 // MemoryBackend: RAM-resident checkpoint images (the paper's memory-backend
@@ -187,11 +229,6 @@ class MemoryBackend : public CheckpointBackend {
   };
 
   const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override {
-    // Reconfiguring is a barrier: new lanes all start where the old
-    // schedule would have drained, so no queued work is forgotten.
-    flusher_ = LaneSchedule(lanes, flusher_.Makespan());
-  }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
   [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
@@ -206,81 +243,70 @@ class MemoryBackend : public CheckpointBackend {
   [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
     return Status::Error(Errc::kNotSupported, "memory backend holds no namespace");
   }
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
+  // Images are written once, so every epoch sees the same pages.
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
+  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) override;
 
   // Cost-free staging primitives for a NetBackend feeding this image table
   // from across the link (the sender charges the NIC, not our flusher).
-  uint64_t AllocOid() { return next_oid_++; }
-  void DeclareObject(uint64_t oid, uint64_t size);
-  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
-  CommitInfo Seal(std::string group, std::string ckpt_name, std::vector<uint8_t> manifest,
-                  SimTime committed_at);
-  // Seal at a caller-chosen epoch number (a replica applying the primary's
-  // stream keeps the primary's epoch numbering). Idempotent per
+  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, std::vector<uint8_t> page);
+  // StagePage for a deduplicating flusher: returns the bytes the page ships
+  // as — kDedupRefBytes when the table already held these bytes (a `cache`
+  // hit verified byte for byte), else kPageSize — and adds them to *bytes
+  // (one page to *pages). Charges the content hash to `sender`.
+  uint64_t StageDeduped(SimContext* sender, PageContentCache* cache, uint64_t oid,
+                        uint64_t object_size, uint64_t pgidx, const uint8_t* data,
+                        uint64_t* pages, uint64_t* bytes);
+  // Seals `epoch` (current_epoch() for a local commit; a replica applying
+  // the primary's stream keeps the primary's numbering). Idempotent per
   // (group, epoch): resealing an epoch the table already holds returns the
   // existing record — at-least-once delivery must not duplicate images.
   CommitInfo SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
                     std::vector<uint8_t> manifest, SimTime committed_at);
 
-  const ObjectImage* FindObject(uint64_t oid) const;
+  const std::vector<uint8_t>* FindPage(uint64_t oid, uint64_t pgidx) const;
+  // Installs every staged page of `oid` into `obj`; returns the page count.
+  uint64_t InstallImage(uint64_t oid, VmObject* obj) const;
   const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
   [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
                                                      uint64_t epoch) const;
   const std::vector<ImageRecord>& images() const { return images_; }
 
- private:
+ protected:
   SimContext* sim_;
+
+ private:
   std::string name_;
   uint64_t next_oid_ = 1;
   uint64_t epoch_ = 1;
-  // Asynchronous flusher lanes: each object's copy lands on the least-loaded
-  // lane and starts no earlier than that lane's previous drain, so
-  // back-to-back checkpoints queue up. One lane = the serial flusher.
-  LaneSchedule flusher_{1};
+  // lanes_ is the asynchronous flusher: each object's copy lands on the
+  // least-loaded lane and starts no earlier than that lane's previous
+  // drain, so back-to-back checkpoints queue up.
   std::map<uint64_t, ObjectImage> objects_;
   std::vector<ImageRecord> images_;
-  // Content cache: key -> (oid, pgidx) of a staged page known to hold that
-  // content. Entries can go stale when the source page is restaged with new
-  // bytes, so every hit is validated against the image before it is trusted.
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> content_cache_;
+  PageContentCache content_cache_;
 };
 
 // -----------------------------------------------------------------------------
 // NetBackend: checkpoints stream to a peer machine's MemoryBackend over the
 // simulated NIC. Every page batch and manifest is charged
-// CostModel::NetTransfer on a dedicated link timeline (transfers queue
-// behind one another), subsuming what `sls send` does per stream; restores
-// pull the image back across the link. The peer's MemoryBackend may belong
-// to another simulated machine — its clock is never touched from here.
+// CostModel::NetTransfer on the stream lanes (transfers queue behind one
+// another and share the wire's byte time); restores pull the image back
+// across the link. The peer's MemoryBackend may belong to another simulated
+// machine — its clock is never touched from here.
 // -----------------------------------------------------------------------------
 class NetBackend : public CheckpointBackend {
  public:
-  // Lossy-link model: each queued transfer independently times out with
-  // probability drop_rate; a timeout charges net_send_timeout + one RTT for
-  // the reconnect before the retry. Bounded like disk I/O retries — after
-  // max_attempts the send fails typed with kUnavailable (the peer is
-  // partitioned away, counted in net.partitions) and the epoch aborts
-  // upstream.
-  struct LinkFaultProfile {
-    uint64_t seed = 0x6E657431;  // "net1"
-    double drop_rate = 0.0;
-    int max_attempts = 4;
-  };
-
   NetBackend(SimContext* sim, MemoryBackend* remote, std::string name = "net")
       : sim_(sim), remote_(remote), name_(std::move(name)) {}
 
-  void SetLinkFaults(const LinkFaultProfile& profile) {
-    link_ = profile;
-    link_rng_ = Rng(profile.seed);
-  }
-
   const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
   uint64_t current_epoch() const override { return remote_->current_epoch(); }
-  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
+  // Object naming piggybacks on the stream framing; no transfer of its own.
+  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
+    return remote_->CreateMemoryObject(size_hint);
+  }
   [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
@@ -293,11 +319,10 @@ class NetBackend : public CheckpointBackend {
   [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
     return Status::Error(Errc::kNotSupported, "net backend holds no namespace");
   }
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
-
-  MemoryBackend* remote() { return remote_; }
+  // Remote paging: one synchronous round trip per fault.
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
+  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) override;
 
  protected:
   // Per-page wire framing: page index + length (matches the migration
@@ -309,70 +334,97 @@ class NetBackend : public CheckpointBackend {
   // Lanes model concurrent streams: their latency halves overlap, while the
   // wire's byte occupancy is shared (wire_busy_). With one lane the stream
   // timeline always covers the wire bucket, i.e. the historical serial link.
-  // Fails with kUnavailable when the lossy-link profile exhausts its
-  // retries (a partition, counted in net.partitions).
-  [[nodiscard]] Result<SimTime> QueueTransferOn(int lane, uint64_t payload);
-  [[nodiscard]] Result<SimTime> QueueTransfer(uint64_t payload) {
-    return QueueTransferOn(lanes_.NextLane(), payload);
-  }
+  SimTime QueueTransferOn(int lane, uint64_t payload);
 
   SimContext* sim_;
   MemoryBackend* remote_;
   std::string name_;
-  LaneSchedule lanes_{1};
   SimTime wire_busy_ = 0;
-  LinkFaultProfile link_;
-  Rng link_rng_;
-  // Sender-side record of content the peer's image table already holds
-  // (key -> (oid, pgidx) staged earlier). Validated against the remote image
-  // on every hit, so a restaged page can never cause a wrong reference.
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> content_cache_;
+  // Content the peer's image table already holds, validated against the
+  // remote image on every hit.
+  PageContentCache content_cache_;
 };
 
 // -----------------------------------------------------------------------------
-// Warm-standby live replication (DESIGN.md section 18, ROADMAP item 3).
+// The checkpoint wire format, magic "ASND": every `sls send` / `sls recv`
+// stream and the body of every replication chunk.
+// Layout: u32 magic, u64 epoch, u64 since_epoch, bytes manifest, u64 nobjects,
+// then per object: u64 oid, u64 size, u64 nblocks, nblocks x (u64 block,
+// u8 tag, payload). Blocks are strictly ascending and below the object's
+// size; nothing follows the last object. Tag 0 = raw block payload; tag 1 =
+// dedup reference (u64 src_obj_index, u64 src_block) naming an earlier raw
+// block of the same stream with identical contents — the receiver copies it
+// locally instead of pulling the bytes across the wire.
+// -----------------------------------------------------------------------------
+struct StreamPayload {
+  uint64_t epoch = 0;
+  uint64_t since_epoch = 0;
+  std::vector<uint8_t> manifest;
+  struct ObjectData {
+    uint64_t size = 0;
+    std::map<uint64_t, std::vector<uint8_t>> blocks;  // block index -> raw block
+  };
+  // Source oid -> contents; iteration order is the wire order.
+  std::vector<std::pair<uint64_t, ObjectData>> objects;
+};
+
+// Encodes with dedup references for repeated blocks.
+std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload);
+// Rejects anything the encoder cannot produce with kCorrupt.
+[[nodiscard]] Result<StreamPayload> DecodeCheckpointStream(std::span<const uint8_t> bytes,
+                                                           uint32_t block_size);
+
+// One replication chunk: an ASND stream (raw kPageSize blocks, never dedup
+// references — each chunk must validate on its own) behind a header with
+// the fields replication needs and the stream lacks. A data chunk's stream
+// holds one object's pages; a commit chunk's holds the manifest and no
+// objects, and its nframes counts the epoch's chunks, itself included.
+// Layout: u32 magic "ARPL", u64 attempt, u64 seq, u64 nframes (0 in data
+// chunks), bytes ckpt_name, the stream, then u32 CRC32C of all before it.
+struct ReplChunk {
+  uint64_t attempt = 0;  // re-ship attempt after an aborted epoch
+  uint64_t seq = 0;      // position within the epoch's stream, commit last
+  uint64_t nframes = 0;
+  std::string ckpt_name;
+  StreamPayload stream;  // stream.epoch is the chunk's epoch
+
+  bool commit() const { return nframes != 0; }
+};
+
+std::vector<uint8_t> EncodeReplChunk(const ReplChunk& chunk);
+// Checks the CRC, then decodes the header and the stream.
+[[nodiscard]] Result<ReplChunk> DecodeReplChunk(std::span<const uint8_t> bytes);
+// The header and stream epoch only, without the CRC check: the standby
+// slots chunks by these and validates them whole at apply time.
+[[nodiscard]] Result<ReplChunk> PeekReplChunk(std::span<const uint8_t> bytes);
+
+// -----------------------------------------------------------------------------
+// Warm-standby live replication (DESIGN.md section 18).
 //
 // A second simulated machine continuously ingests the primary's epoch stream
 // into a ready-to-run image table. The pieces:
 //
 //   ReplicaBackend  (primary side)  — a CheckpointBackend that ships every
-//       epoch as CRC-framed stream messages over a ReplicaLink, plus the
-//       heartbeat that keeps the standby's lease fresh.
+//       epoch as CRC-sealed ASND chunks (ReplChunk, below) over a
+//       ReplicaLink, plus the heartbeat that keeps the standby's lease fresh.
 //   ReplicaLink     (the wire)      — at-least-once, possibly out-of-order
-//       delivery: frames can be duplicated or reordered (seeded), and the
-//       link can partition — cleanly or mid-epoch via a frame fuse.
-//   ReplicaStandby  (standby side)  — the replica state machine: reassembles
-//       frames into pending epochs, CRC-validates, and applies complete
-//       epochs in order into warm VmObject images; tracks applied/validated
-//       watermarks; PrepareFailover() promotes on the last durable epoch
-//       with validated speculation (see DESIGN.md section 18 for the state
-//       machine and failover invariants).
+//       delivery of chunk bytes: chunks can be duplicated or reordered
+//       (seeded), and the link can partition — cleanly or mid-epoch via a
+//       frame fuse.
+//   ReplicaStandby  (standby side)  — the replica state machine: slots
+//       chunks into pending epochs, validates and decodes them with the
+//       same decoder as `sls recv`, and applies complete epochs in order
+//       into warm VmObject images; tracks applied/validated watermarks;
+//       PrepareFailover() promotes on the last durable epoch with validated
+//       speculation (see DESIGN.md section 18 for the state machine and
+//       failover invariants).
 // -----------------------------------------------------------------------------
 
-// One replication stream message: a batch of one object's pages, or the
-// epoch's commit record (manifest + expected frame count). The CRC covers
-// the payload and its placement metadata, so a frame corrupted in the
-// standby's staging buffers (latent-sector analogue) fails validation.
+// One encoded chunk on the replication wire. `arrival` is link metadata (when
+// the bytes are through the wire), not part of the chunk.
 struct ReplFrame {
-  uint64_t epoch = 0;
-  uint64_t attempt = 0;  // re-ship attempt after an aborted epoch
-  uint64_t seq = 0;      // position within the epoch's stream, commit last
-  bool commit = false;
-  // Data-frame payload.
-  uint64_t oid = 0;
-  uint64_t object_size = 0;
-  std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
-  // Commit-frame payload.
-  std::string group;
-  std::string ckpt_name;
-  std::vector<uint8_t> manifest;
-  uint64_t nframes = 0;  // frames in this epoch, commit frame included
-  uint32_t crc = 0;
-  SimTime sent_at = 0;
-  SimTime arrival = 0;  // when the bytes are through the wire
-
-  // CRC over payload + placement metadata (both sides compute this).
-  uint32_t ComputeCrc() const;
+  std::vector<uint8_t> bytes;
+  SimTime arrival = 0;
 };
 
 // The primary -> standby wire. The sender pushes frames (refusing them while
@@ -431,17 +483,16 @@ class ReplicaLink {
 class ReplicaStandby : public MemoryBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
-      : MemoryBackend(sim, std::move(name)), standby_sim_(sim), link_(link) {}
-
-  enum class EpochState { kStreaming, kValidated, kApplied, kRolledBack };
+      : MemoryBackend(sim, std::move(name)), link_(link) {}
 
   // --- Continuous ingest ---------------------------------------------------
-  // Drains the link, reassembles pending epochs (deduping replayed frames
-  // and whole replayed epochs), CRC-validates complete ones and applies them
-  // in epoch order. A validation failure rolls the epoch back and poisons
-  // the chain: later epochs are deltas on top of the lost one, so they wait
-  // until the at-least-once link re-delivers the lost epoch intact rather
-  // than composing into a torn image.
+  // Drains the link, slots chunks into pending epochs by their header
+  // (deduping replayed chunks and whole replayed epochs), validates
+  // complete ones and applies them in epoch order. A validation failure
+  // rolls the epoch back and poisons the chain: later epochs are deltas on
+  // top of the lost one, so they wait until the at-least-once link
+  // re-delivers the lost epoch intact rather than composing into a torn
+  // image.
   void Pump();
 
   // Watermarks and lag.
@@ -459,8 +510,12 @@ class ReplicaStandby : public MemoryBackend {
   [[nodiscard]] Status LeaseCheck() const;
 
   // --- Fault injection (standby-side latent sector analogue) ---------------
-  // Flips one byte of an already-received pending page of `epoch`, so the
-  // apply-time CRC validation must catch it. False if nothing to corrupt.
+  // Flips byte `offset` of the received, not yet applied chunk `seq` of
+  // `epoch` (its CRC left stale), so apply-time validation must catch it.
+  // False if there is no such chunk or byte.
+  bool CorruptPendingChunk(uint64_t epoch, uint64_t seq, size_t offset);
+  // CorruptPendingChunk on the last payload byte of the epoch's lowest
+  // pending chunk: a page byte when that is a data chunk.
   bool CorruptPendingPage(uint64_t epoch);
 
   // --- Failover ------------------------------------------------------------
@@ -482,8 +537,8 @@ class ReplicaStandby : public MemoryBackend {
   // previous ones now belong to the promoted incarnation).
   void Demote();
 
-  // Warm/delta restore for a prepared failover; cold MemoryBackend path
-  // otherwise.
+  // A prepared failover hands out the warm images; objects without one, and
+  // every other restore, take the shared page-source path.
   [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
 
@@ -492,19 +547,20 @@ class ReplicaStandby : public MemoryBackend {
 
  private:
   struct PendingEpoch {
-    std::map<uint64_t, ReplFrame> frames;  // seq -> frame
+    std::map<uint64_t, ReplFrame> frames;  // seq -> chunk as received
     uint64_t attempt = 0;
-    uint64_t nframes = 0;  // 0 until the commit frame arrives
-    uint64_t max_seq_seen = 0;
+    uint64_t nframes = 0;  // 0 until the commit chunk arrives
     SimTime last_arrival = 0;
   };
 
   // Applies every contiguous complete epoch above the watermark.
   void ApplyReady();
-  [[nodiscard]] bool ValidateEpoch(const PendingEpoch& pending);
-  void ApplyEpoch(uint64_t epoch, PendingEpoch&& pending);
+  // The epoch's chunks, CRC-checked and decoded in seq order; kCorrupt if
+  // any is damaged, missing, or the stream does not end in its commit.
+  [[nodiscard]] Result<std::vector<ReplChunk>> ValidateEpoch(const PendingEpoch& pending);
+  // Moves the decoded pages into the image table.
+  void ApplyEpoch(uint64_t epoch, SimTime last_arrival, std::vector<ReplChunk>& chunks);
 
-  SimContext* standby_sim_;
   ReplicaLink* link_;
   std::map<uint64_t, PendingEpoch> pending_;
   uint64_t applied_epoch_ = 0;
@@ -522,10 +578,10 @@ class ReplicaStandby : public MemoryBackend {
   std::map<uint64_t, std::shared_ptr<VmObject>> warm_;
 };
 
-// Primary side: ships every checkpoint epoch as a framed stream over the
+// Primary side: ships every checkpoint epoch as a chunked stream over the
 // ReplicaLink. Extends NetBackend for the lane/wire timing model and the
-// pull-back restore path; the flush path is replaced by frame assembly so
-// partitions, reordering and duplication act on whole frames.
+// pull-back restore path; the flush path is replaced by chunk encoding so
+// partitions, reordering and duplication act on whole chunks.
 class ReplicaBackend : public NetBackend {
  public:
   struct HeartbeatProfile {
@@ -536,10 +592,7 @@ class ReplicaBackend : public NetBackend {
 
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : NetBackend(sim, standby, std::move(name)),
-        prim_sim_(sim),
-        standby_(standby),
-        link_(link) {
+      : NetBackend(sim, standby, std::move(name)), standby_(standby), link_(link) {
     standby->ConfigureLease(hb_.lease);
   }
 
@@ -570,17 +623,21 @@ class ReplicaBackend : public NetBackend {
   ReplicaLink* link() { return link_; }
 
  private:
-  // Pushes one frame through the link, retrying with exponential backoff
-  // while partitioned; typed kUnavailable + net.partitions on giveup.
-  [[nodiscard]] Result<SimTime> ShipFrame(ReplFrame frame, uint64_t payload_bytes);
+  // Probes a partitioned link with exponential backoff (heartbeat-scale
+  // retries); typed kUnavailable + net.partitions once they run out.
+  [[nodiscard]] Status AwaitLink(const char* giveup);
+  // Header of the current epoch's next chunk, (re)starting the stream first.
+  ReplChunk NextChunk();
+  // Pushes an encoded chunk through the link; a typed kUnavailable when the
+  // link or the primary is gone. `payload_bytes` is the modelled wire charge.
+  [[nodiscard]] Result<SimTime> ShipChunk(std::vector<uint8_t> bytes, uint64_t payload_bytes);
 
-  SimContext* prim_sim_;
   ReplicaStandby* standby_;
   ReplicaLink* link_;
   HeartbeatProfile hb_;
   uint64_t epoch_ = 1;
   uint64_t attempt_ = 0;   // bumped when an epoch stream (re)starts
-  uint64_t seq_ = 0;       // next frame seq within the current epoch
+  uint64_t seq_ = 0;       // next chunk seq within the current epoch
   bool streaming_ = false;
   bool crashed_ = false;
   bool crash_armed_ = false;
@@ -598,31 +655,6 @@ class ReplicaBackend : public NetBackend {
 // FindManifestInStore plus the final manifest read.
 [[nodiscard]] Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(
     ObjectStore* store, const std::string& group_name, uint64_t epoch);
-
-// -----------------------------------------------------------------------------
-// Migration stream codec (`sls send` / `sls recv` wire format, magic "ASND").
-// Layout: u32 magic, u64 epoch, u64 since_epoch, bytes manifest, u64 nmem,
-// then per object: u64 oid, u64 size, u64 nblocks, nblocks x (u64 block,
-// u8 tag, payload). Tag 0 = raw store-block payload; tag 1 = dedup
-// reference (u64 src_oid, u64 src_block) naming an earlier block of the
-// same stream with identical contents — the receiver copies it locally
-// instead of pulling the bytes across the wire.
-// -----------------------------------------------------------------------------
-struct StreamPayload {
-  uint64_t epoch = 0;
-  uint64_t since_epoch = 0;
-  std::vector<uint8_t> manifest;
-  struct ObjectData {
-    uint64_t size = 0;
-    std::map<uint64_t, std::vector<uint8_t>> blocks;  // block index -> raw block
-  };
-  // Source oid -> contents; iteration order is the wire order.
-  std::vector<std::pair<uint64_t, ObjectData>> objects;
-};
-
-std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload);
-[[nodiscard]] Result<StreamPayload> DecodeCheckpointStream(const std::vector<uint8_t>& bytes,
-                                                           uint32_t block_size);
 
 }  // namespace aurora
 

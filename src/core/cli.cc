@@ -421,7 +421,7 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
   SimStopwatch watch(sim->clock);
   sim->clock.Advance(sim->cost.NetTransfer(stream.bytes.size()));
 
-  // Same codec NetBackend speaks; Recv is the store-and-instantiate side.
+  // The one wire format, also the standby's; Recv is the store-and-instantiate side.
   uint32_t bs = sls_->store()->block_size();
   AURORA_ASSIGN_OR_RETURN(StreamPayload payload,
                           DecodeCheckpointStream(stream.bytes, bs));

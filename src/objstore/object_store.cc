@@ -1611,6 +1611,11 @@ Result<std::vector<uint64_t>> ObjectStore::BlocksAtEpoch(uint64_t epoch, Oid oid
   return out;
 }
 
+Result<bool> ObjectStore::HasBlockAtEpoch(uint64_t epoch, Oid oid, uint64_t block) {
+  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
+  return info->extents.count(block) > 0;
+}
+
 Result<std::vector<uint64_t>> ObjectStore::ChangedBlocksSince(uint64_t since_epoch,
                                                               uint64_t epoch, Oid oid) {
   AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));

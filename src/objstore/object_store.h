@@ -167,6 +167,9 @@ class ObjectStore {
   [[nodiscard]] Result<ObjType> TypeAtEpoch(uint64_t epoch, Oid oid);
   // Logical block indices with data at that epoch (restore materialization).
   [[nodiscard]] Result<std::vector<uint64_t>> BlocksAtEpoch(uint64_t epoch, Oid oid);
+  // Whether logical block `block` holds data at that epoch (a demand
+  // pager's hole test).
+  [[nodiscard]] Result<bool> HasBlockAtEpoch(uint64_t epoch, Oid oid, uint64_t block);
   // Logical blocks whose contents changed after `since_epoch`, as of
   // `epoch` (extent birth epochs drive incremental checkpoint shipping).
   [[nodiscard]] Result<std::vector<uint64_t>> ChangedBlocksSince(uint64_t since_epoch,

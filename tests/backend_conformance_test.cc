@@ -130,6 +130,89 @@ TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
   EXPECT_GE(m.sim.metrics.counter(prefix + "epochs_committed").value(), 2u);
 }
 
+// Lazy restore installs a demand pager per region instead of streaming it:
+// the restored image starts (nearly) empty and every page faults back from
+// the backend with the bytes of the newest checkpoint.
+TEST_P(BackendConformance, LazyRestoreDemandPagesTheCheckpointedImage) {
+  Machine m;
+  CheckpointBackend* backend = PrepareBackend(m);
+
+  constexpr uint64_t kMem = 1 * kMiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kMem);
+  uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  std::vector<uint8_t> pattern(kMem);
+  for (uint64_t i = 0; i < kMem; i++) {
+    pattern[i] = static_cast<uint8_t>(i * 7 + (i >> 11));
+  }
+  ASSERT_TRUE(proc->vm().Write(addr, pattern.data(), pattern.size()).ok());
+
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(m.sls->SetBackend(group, backend->name()).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group, "first").ok());
+  // An incremental epoch on top, so the pager must see the newest bytes.
+  for (uint64_t i = 0; i < kMem / 4; i++) {
+    pattern[i] = static_cast<uint8_t>(pattern[i] ^ 0xc3);
+  }
+  ASSERT_TRUE(proc->vm().Write(addr, pattern.data(), kMem / 4).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group, "second").ok());
+
+  for (Process* p : group->processes) {
+    m.kernel->DestroyProcess(p);
+  }
+  group->processes.clear();
+
+  auto restored = m.sls->Restore("app", 0, RestoreMode::kLazy, backend);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  ASSERT_EQ(restored->group->processes.size(), 1u);
+  Process* rp = restored->group->processes[0];
+  EXPECT_LT(rp->vm().ResidentPages(), kMem / kPageSize)
+      << "lazy restore must leave pages to demand paging";
+
+  std::vector<uint8_t> got(kMem);
+  ASSERT_TRUE(rp->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, pattern) << "demand-paged memory must match the second checkpoint";
+}
+
+// Memory pressure (the swap path of paper section 6): once a region's base
+// is durable its frames are dropped and the backend pages them back on
+// fault, byte for byte.
+TEST_P(BackendConformance, EvictedPagesFaultBackByteExact) {
+  Machine m;
+  CheckpointBackend* backend = PrepareBackend(m);
+
+  constexpr uint64_t kMem = 1 * kMiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kMem);
+  uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(m.sls->SetBackend(group, backend->name()).ok());
+  m.sls->SetMemoryPressure(group, true);
+
+  std::vector<uint8_t> model(kMem);
+  for (uint64_t round = 0; round < 4; round++) {
+    // Each round rewrites a different quarter, so every quarter reaches the
+    // durable base and the collapse after the next flush can drop it.
+    uint64_t off = round * (kMem / 4);
+    for (uint64_t i = off; i < off + kMem / 4; i++) {
+      model[i] = static_cast<uint8_t>(i * 13 + round + (i >> 12));
+    }
+    ASSERT_TRUE(proc->vm().Write(addr + off, model.data() + off, kMem / 4).ok());
+    ASSERT_TRUE(m.sls->Checkpoint(group).ok());
+  }
+  ASSERT_TRUE(m.sls->Checkpoint(group).ok());
+  auto evicted = m.sls->EvictPages(group, kMem / kPageSize);
+  ASSERT_TRUE(evicted.ok()) << evicted.status().message();
+  EXPECT_LT(proc->vm().ResidentPages(), kMem / kPageSize / 2)
+      << "durable base frames must leave memory";
+
+  std::vector<uint8_t> got(kMem);
+  ASSERT_TRUE(proc->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, model) << "evicted pages must fault back byte-exact";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::Values("store", "memory", "net", "replica"));
 

@@ -523,6 +523,42 @@ TEST(SlsCli, SendRecvMigratesAcrossMachines) {
   EXPECT_STREQ(buf, payload);
 }
 
+// A stream naming a block past its object's size, or carrying bytes after
+// its last object, is malformed: Recv must refuse it rather than install a
+// page outside the object (or ignore the junk) and let the next checkpoint
+// persist the result.
+TEST(SlsCli, RecvRejectsMalformedStreams) {
+  Machine src;
+  auto [proc, addr] = MakeAppProcess(src, 1 * kMiB);
+  ASSERT_TRUE(proc->vm().DirtyRange(addr, 64 * kKiB).ok());
+  SlsCli src_cli(src.sls.get());
+  ASSERT_TRUE(src_cli.Attach("webapp", proc).ok());
+  ASSERT_TRUE(src_cli.Checkpoint("webapp", "first").ok());
+  auto stream = src_cli.Send("webapp");
+  ASSERT_TRUE(stream.ok());
+  uint32_t bs = src.store->block_size();
+
+  auto payload = DecodeCheckpointStream(stream->bytes, bs);
+  ASSERT_TRUE(payload.ok());
+  ASSERT_FALSE(payload->objects.empty());
+  StreamPayload::ObjectData& object = payload->objects[0].second;
+  ASSERT_FALSE(object.blocks.empty());
+  object.blocks[100000] = object.blocks.begin()->second;
+  CheckpointStream past_end{EncodeCheckpointStream(*payload)};
+
+  CheckpointStream trailing = *stream;
+  trailing.bytes.push_back(0x5a);
+
+  for (const CheckpointStream* bad : {&past_end, &trailing}) {
+    Machine dst;
+    SlsCli dst_cli(dst.sls.get());
+    auto arrived = dst_cli.Recv(*bad);
+    ASSERT_FALSE(arrived.ok());
+    EXPECT_EQ(arrived.status().code(), Errc::kCorrupt);
+    EXPECT_EQ(dst.sls->FindGroup("webapp"), nullptr);
+  }
+}
+
 TEST(SlsCli, SuspendResume) {
   Machine m;
   auto [proc, addr] = MakeAppProcess(m, 256 * kKiB);

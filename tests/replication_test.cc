@@ -189,32 +189,30 @@ TEST(Replication, CorruptedPendingEpochRollsBackThenHeals) {
   ASSERT_TRUE(m.sls->Checkpoint(group, "first").ok());
   ASSERT_EQ(m.standby->last_applied_epoch(), 1u);
 
-  // Hand-craft an epoch-2 stream (attempt 0: any real re-ship supersedes
-  // it) and flip a byte of a received page before the commit frame lands —
-  // the standby-side latent-sector analogue. Apply-time CRC validation must
-  // roll the whole epoch back rather than apply the damaged page.
-  ReplFrame data;
-  data.epoch = 2;
+  // Encode an epoch-2 stream by hand (attempt 0: any real re-ship
+  // supersedes it) and flip a byte of a received page before the commit
+  // chunk lands — the standby-side latent-sector analogue. Apply-time CRC
+  // validation must roll the whole epoch back rather than apply the damaged
+  // page.
+  ReplChunk data;
   data.seq = 0;
-  data.oid = 999;
-  data.object_size = kPageSize;
-  data.pages[0] = std::vector<uint8_t>(kPageSize, 0xAB);
-  data.crc = data.ComputeCrc();
-  ASSERT_TRUE(m.link.Push(data));
+  data.stream.epoch = 2;
+  StreamPayload::ObjectData page;
+  page.size = kPageSize;
+  page.blocks[0] = std::vector<uint8_t>(kPageSize, 0xAB);
+  data.stream.objects.emplace_back(999, std::move(page));
+  ASSERT_TRUE(m.link.Push(ReplFrame{EncodeReplChunk(data), 0}));
   m.standby->Pump();
   ASSERT_EQ(m.standby->pending_epochs(), 1u);
   ASSERT_TRUE(m.standby->CorruptPendingPage(2));
 
-  ReplFrame commit;
-  commit.epoch = 2;
+  ReplChunk commit;
   commit.seq = 1;
-  commit.commit = true;
-  commit.group = "app";
-  commit.ckpt_name = "forged";
-  commit.manifest = {1, 2, 3};
   commit.nframes = 2;
-  commit.crc = commit.ComputeCrc();
-  ASSERT_TRUE(m.link.Push(commit));
+  commit.ckpt_name = "forged";
+  commit.stream.epoch = 2;
+  commit.stream.manifest = {1, 2, 3};
+  ASSERT_TRUE(m.link.Push(ReplFrame{EncodeReplChunk(commit), 0}));
   m.standby->Pump();
 
   EXPECT_EQ(m.sim.metrics.CounterValue("repl.crc_failures"), 1u);

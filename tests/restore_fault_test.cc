@@ -88,7 +88,12 @@ class FailingBackend : public CheckpointBackend {
           return inner(oid, size);
         });
   }
-  bool InstallPager(VmObject* base) override { return inner_->InstallPager(base); }
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override {
+    return inner_->ReadPage(epoch, oid, pgidx, out);
+  }
+  Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj, RestoreStream* stream) override {
+    return inner_->StreamObject(epoch, oid, obj, stream);
+  }
 
   bool fail_load_manifest = false;
   bool fail_restore_namespace = false;
