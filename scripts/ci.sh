@@ -49,10 +49,10 @@ for preset in default asan; do
   # pending chunk never applies.
   "${build_dir}/tests/wire_format_fuzz_test" >/dev/null
 
-  # Static-analysis gate: every tree — src, tools, tests, bench — must lint
-  # clean under all six rule families, and the linter must prove its rules
-  # still fire on the fixtures.
-  "${build_dir}/tools/aurora_lint/aurora_lint" src tools tests bench
+  # Static-analysis gate: every tree — src, tools, tests, bench, perfbench —
+  # must lint clean under all six rule families, and the linter must prove
+  # its rules still fire on the fixtures.
+  "${build_dir}/tools/aurora_lint/aurora_lint" src tools tests bench perfbench
   "${build_dir}/tests/lint_test" >/dev/null
 
   # A refactor of the linter must never silently drop a rule family: the

@@ -2,7 +2,7 @@
 //
 // Real NVMe and network stacks mask transient errors (command timeouts,
 // link resets) by retrying a bounded number of times before surfacing the
-// failure. Aurora's store and net backends share this policy so the fault
+// failure. Every store device IO goes through this policy, so the fault
 // matrix exercises one retry semantics everywhere:
 //   * only Errc::kIoError is retried — it marks transient faults. A CRC
 //     mismatch (kCorrupt) means the media returned wrong bytes; retrying

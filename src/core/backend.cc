@@ -210,41 +210,18 @@ void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx
   img.pages[pgidx] = std::move(page);
 }
 
-uint64_t MemoryBackend::StageDeduped(SimContext* sender, PageContentCache* cache, uint64_t oid,
-                                     uint64_t object_size, uint64_t pgidx, const uint8_t* data,
-                                     uint64_t* pages, uint64_t* bytes) {
-  sender->clock.Advance(sender->cost.ContentHash(kPageSize));
-  ContentKey key = ContentHash128(data, kPageSize);
-  // The hit is checked before staging: restaging the cached page itself
-  // must compare against the bytes it held.
-  auto cached = cache->find(key);
-  const std::vector<uint8_t>* held =
-      cached == cache->end() ? nullptr : FindPage(cached->second.first, cached->second.second);
-  bool hit = held != nullptr && std::memcmp(held->data(), data, kPageSize) == 0;
-  StagePage(oid, object_size, pgidx, {data, data + kPageSize});
-  if (hit) {
-    sender->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
-  } else {
-    (*cache)[key] = {oid, pgidx};
-  }
-  uint64_t shipped = hit ? kDedupRefBytes : kPageSize;
-  (*pages)++;
-  *bytes += shipped;
-  return shipped;
-}
-
 Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                 uint64_t* bytes) {
-  // A page whose content the table already holds flushes as a 16-byte
-  // reference instead of a 4 KiB copy.
-  uint64_t copied = 0;
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    copied += StageDeduped(sim_, &content_cache_, oid.value, obj->size(), pgidx,
-                           frame->data.data(), pages, bytes);
-  }
   if (obj->pages().empty()) {
     return sim_->clock.now();
   }
+  for (const auto& [pgidx, frame] : obj->pages()) {
+    StagePage(oid.value, obj->size(), pgidx, {frame->data.begin(), frame->data.end()});
+  }
+  uint64_t n = obj->pages().size();
+  uint64_t copied = n * kPageSize;
+  *pages += n;
+  *bytes += copied;
   int lane = lanes_.NextLane();
   SimTime done = lanes_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
   lanes_.Occupy(lane, done);
@@ -327,18 +304,18 @@ uint64_t MemoryBackend::InstallImage(uint64_t oid, VmObject* obj) const {
 Result<const MemoryBackend::ImageRecord*> MemoryBackend::FindImage(const std::string& group_name,
                                                                    uint64_t epoch) const {
   for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
-    if (it->manifest.empty()) {
-      continue;  // manifest-less seal (sls_memckpt)
+    if (it->manifest.empty() || it->group != group_name) {
+      continue;  // manifest-less seal, or another group's image
     }
-    if (epoch != 0 && it->epoch != epoch) {
-      continue;
-    }
-    if (it->group == group_name) {
+    if (epoch == 0 || epoch == it->epoch) {
       return &*it;
     }
-    if (epoch != 0) {
-      break;
+    if (epoch < it->epoch) {
+      return Status::Error(Errc::kNotSupported,
+                           "image table holds only the newest epoch of group " + group_name +
+                               "; older epochs restore from the store backend");
     }
+    break;
   }
   return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
 }
@@ -365,92 +342,6 @@ Status MemoryBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
   uint64_t copied = InstallImage(oid.value, obj) * kPageSize;
   int lane = stream->lanes.NextLane();
   SimTime done = stream->lanes.StartOn(lane, 0) + sim_->cost.MemCopy(copied);
-  stream->lanes.Occupy(lane, done);
-  *stream->done = std::max(*stream->done, done);
-  return Status::Ok();
-}
-
-// -----------------------------------------------------------------------------
-// NetBackend
-// -----------------------------------------------------------------------------
-
-SimTime NetBackend::QueueTransferOn(int lane, uint64_t payload) {
-  SimTime done = WireTransfer(sim_->cost, &wire_busy_, lanes_.StartOn(lane, sim_->clock.now()),
-                              payload);
-  lanes_.Occupy(lane, done);
-  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(payload);
-  sim_->metrics.histogram("backend." + name_ + ".transfer_time").Record(done - sim_->clock.now());
-  return done;
-}
-
-Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                             uint64_t* bytes) {
-  // The page set splits round-robin over the stream lanes; each lane ships
-  // its share as one framed transfer. One lane = the whole object in a
-  // single transfer, the historical behavior. Pages whose content the peer's
-  // image table already holds ship as a header + content-key reference.
-  std::vector<uint64_t> lane_payload(static_cast<size_t>(lanes_.lanes()), 0);
-  uint64_t page_index = 0;
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    lane_payload[page_index++ % lane_payload.size()] +=
-        kPageHeaderBytes + remote_->StageDeduped(sim_, &content_cache_, oid.value, obj->size(),
-                                                 pgidx, frame->data.data(), pages, bytes);
-  }
-  if (page_index == 0) {
-    return sim_->clock.now();
-  }
-  // Asynchronous NIC push: queue behind earlier transfers, don't stall the
-  // application. Durability is arrival at the peer's image table.
-  SimTime done = sim_->clock.now();
-  for (size_t lane = 0; lane < lane_payload.size(); lane++) {
-    if (lane_payload[lane] > 0) {
-      done = std::max(done, QueueTransferOn(static_cast<int>(lane), lane_payload[lane]));
-    }
-  }
-  obj->set_busy_until(done);
-  return done;
-}
-
-Result<CheckpointBackend::CommitInfo> NetBackend::CommitEpoch(
-    const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // the peer's image table is append-only
-  // Commit record + manifest ride one framed message, sent only after every
-  // stream lane drained (the peer must hold all pages before it seals the
-  // epoch); later transfers queue behind the commit on every lane.
-  lanes_ = LaneSchedule(lanes_.lanes(), std::max(sim_->clock.now(), lanes_.Makespan()));
-  SimTime done = QueueTransferOn(0, manifest.size() + 64);
-  lanes_ = LaneSchedule(lanes_.lanes(), done);
-  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return remote_->SealAt(remote_->current_epoch(), ManifestGroup(manifest), ckpt_name, manifest,
-                         done);
-}
-
-Result<CheckpointBackend::LoadedManifest> NetBackend::LoadManifest(const std::string& group_name,
-                                                                   uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
-                          remote_->FindImage(group_name, epoch));
-  // Foreground pull: the restore blocks on the round trip.
-  sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));
-  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
-}
-
-bool NetBackend::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
-  const std::vector<uint8_t>* page = remote_->FindPage(oid.value, pgidx);
-  if (page == nullptr) {
-    return false;
-  }
-  sim_->clock.Advance(sim_->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-  std::copy(page->begin(), page->end(), out);
-  return true;
-}
-
-Status NetBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
-                                RestoreStream* stream) {
-  // Pull streams: independent objects arrive on parallel lanes while the OS
-  // state rebuilds.
-  uint64_t payload = remote_->InstallImage(oid.value, obj) * (kPageSize + kPageHeaderBytes);
-  int lane = stream->lanes.NextLane();
-  SimTime done = WireTransfer(sim_->cost, &stream->wire, stream->lanes.StartOn(lane, 0), payload);
   stream->lanes.Occupy(lane, done);
   *stream->done = std::max(*stream->done, done);
   return Status::Ok();
@@ -995,6 +886,15 @@ std::vector<std::string> ReplicaStandby::Describe() const {
 // ReplicaBackend
 // -----------------------------------------------------------------------------
 
+SimTime ReplicaBackend::QueueTransferOn(int lane, uint64_t payload) {
+  SimTime done = WireTransfer(sim_->cost, &wire_busy_, lanes_.StartOn(lane, sim_->clock.now()),
+                              payload);
+  lanes_.Occupy(lane, done);
+  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(payload);
+  sim_->metrics.histogram("backend." + name_ + ".transfer_time").Record(done - sim_->clock.now());
+  return done;
+}
+
 Status ReplicaBackend::AwaitLink(const char* giveup) {
   MetricsRegistry& metrics = sim_->metrics;
   SimDuration backoff = hb_.backoff;
@@ -1087,8 +987,7 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
   }
   // Raw pages, no dedup references: the standby validates each chunk as a
   // self-contained unit, so a reference into state it might not hold yet
-  // could never be checked. Bandwidth is the NetBackend's problem space.
-  // The pages go straight from the object into the chunk (EncodeReplChunk's
+  // could never be checked. The pages go straight from the object into the chunk (EncodeReplChunk's
   // layout, without staging a StreamPayload copy).
   BinaryWriter w;
   w.Reserve(obj->pages().size() * (kPageSize + 9) + 128);
@@ -1141,6 +1040,37 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
     info.manifest_oid = (*rec)->manifest_oid;
   }
   return info;
+}
+
+Result<CheckpointBackend::LoadedManifest> ReplicaBackend::LoadManifest(
+    const std::string& group_name, uint64_t epoch) {
+  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
+                          standby_->FindImage(group_name, epoch));
+  // Foreground pull: the restore blocks on the round trip.
+  sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
+}
+
+bool ReplicaBackend::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
+  const std::vector<uint8_t>* page = standby_->FindPage(oid.value, pgidx);
+  if (page == nullptr) {
+    return false;
+  }
+  sim_->clock.Advance(sim_->cost.NetTransfer(kPageSize + kPageHeaderBytes));
+  std::copy(page->begin(), page->end(), out);
+  return true;
+}
+
+Status ReplicaBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) {
+  // Pull streams: independent objects arrive on parallel lanes while the OS
+  // state rebuilds.
+  uint64_t payload = standby_->InstallImage(oid.value, obj) * (kPageSize + kPageHeaderBytes);
+  int lane = stream->lanes.NextLane();
+  SimTime done = WireTransfer(sim_->cost, &stream->wire, stream->lanes.StartOn(lane, 0), payload);
+  stream->lanes.Occupy(lane, done);
+  *stream->done = std::max(*stream->done, done);
+  return Status::Ok();
 }
 
 // -----------------------------------------------------------------------------

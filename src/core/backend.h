@@ -2,9 +2,10 @@
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
 // object store, RAM-resident snapshot images (the memory-backend ablation),
-// a remote machine over the NIC (`sls send` / `sls recv`), and a warm
-// standby fed continuously over a replication link. The Sls
-// checkpoint/restore engine talks to all of them through CheckpointBackend,
+// and a warm standby on another machine, fed continuously over the NIC —
+// the one way a checkpoint crosses the network. (`sls send` / `sls recv`
+// migration is not a backend; it shares only the wire format below.) The
+// Sls checkpoint/restore engine talks to all of them through CheckpointBackend,
 // so the pipeline stages — quiesce, serialize, shadow, resume, async flush,
 // commit, release — are written once and the destination only decides where
 // bytes land and what each transfer costs.
@@ -38,13 +39,6 @@
 #include "src/objstore/object_store.h"
 
 namespace aurora {
-
-// Size of a dedup reference record on a backend's wire/flusher path: the
-// 128-bit content key naming a page the destination already holds. Shipping
-// a reference instead of the page is where `ckpt.bytes_deduped` comes from
-// on the memory and net backends (the store backend dedups inside
-// ObjectStore::StoreBlockCow instead).
-constexpr uint64_t kDedupRefBytes = 16;
 
 // ReadPage's epoch for the backend's newest state: what the swap path pages
 // evicted frames back from. Committed epochs are numbered from 1.
@@ -198,17 +192,13 @@ class StoreBackend : public CheckpointBackend {
   std::string name_ = "store";
 };
 
-// Sender-side content cache of a deduplicating flusher: key -> (oid, pgidx)
-// of a staged page known to have held that content. Entries go stale when
-// the page is restaged, so a hit is only trusted after a byte compare.
-using PageContentCache = std::map<ContentKey, std::pair<uint64_t, uint64_t>>;
-
 // -----------------------------------------------------------------------------
 // MemoryBackend: RAM-resident checkpoint images (the paper's memory-backend
 // ablation). An asynchronous flusher copies pages into per-object images at
 // memcpy bandwidth; images survive process teardown but not machine reboot.
-// Also serves as the receiving side of a NetBackend: the NIC stages pages
-// into a peer machine's MemoryBackend image table.
+// A region keeps its oid across epochs, so each flush overwrites that
+// object's pages in place: the table holds the newest image of each group,
+// and the store backend is the path to older epochs.
 // -----------------------------------------------------------------------------
 class MemoryBackend : public CheckpointBackend {
  public:
@@ -243,21 +233,15 @@ class MemoryBackend : public CheckpointBackend {
   [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
     return Status::Error(Errc::kNotSupported, "memory backend holds no namespace");
   }
-  // Images are written once, so every epoch sees the same pages.
+  // Pages are read from the one image each oid has, whatever `epoch` says:
+  // LoadManifest refuses every epoch but a group's newest (see FindImage).
   bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
   [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
                                     RestoreStream* stream) override;
 
-  // Cost-free staging primitives for a NetBackend feeding this image table
-  // from across the link (the sender charges the NIC, not our flusher).
+  // Cost-free staging primitive: the caller charges the copy (the flusher
+  // lanes here, the ingest timeline on a replica standby).
   void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, std::vector<uint8_t> page);
-  // StagePage for a deduplicating flusher: returns the bytes the page ships
-  // as — kDedupRefBytes when the table already held these bytes (a `cache`
-  // hit verified byte for byte), else kPageSize — and adds them to *bytes
-  // (one page to *pages). Charges the content hash to `sender`.
-  uint64_t StageDeduped(SimContext* sender, PageContentCache* cache, uint64_t oid,
-                        uint64_t object_size, uint64_t pgidx, const uint8_t* data,
-                        uint64_t* pages, uint64_t* bytes);
   // Seals `epoch` (current_epoch() for a local commit; a replica applying
   // the primary's stream keeps the primary's numbering). Idempotent per
   // (group, epoch): resealing an epoch the table already holds returns the
@@ -269,6 +253,9 @@ class MemoryBackend : public CheckpointBackend {
   // Installs every staged page of `oid` into `obj`; returns the page count.
   uint64_t InstallImage(uint64_t oid, VmObject* obj) const;
   const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
+  // The newest image of `group_name` when `epoch` is 0 or names it;
+  // kNotSupported for an older epoch, whose manifest would sit over pages
+  // later flushes overwrote.
   [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
                                                      uint64_t epoch) const;
   const std::vector<ImageRecord>& images() const { return images_; }
@@ -285,64 +272,6 @@ class MemoryBackend : public CheckpointBackend {
   // drain, so back-to-back checkpoints queue up.
   std::map<uint64_t, ObjectImage> objects_;
   std::vector<ImageRecord> images_;
-  PageContentCache content_cache_;
-};
-
-// -----------------------------------------------------------------------------
-// NetBackend: checkpoints stream to a peer machine's MemoryBackend over the
-// simulated NIC. Every page batch and manifest is charged
-// CostModel::NetTransfer on the stream lanes (transfers queue behind one
-// another and share the wire's byte time); restores pull the image back
-// across the link. The peer's MemoryBackend may belong to another simulated
-// machine — its clock is never touched from here.
-// -----------------------------------------------------------------------------
-class NetBackend : public CheckpointBackend {
- public:
-  NetBackend(SimContext* sim, MemoryBackend* remote, std::string name = "net")
-      : sim_(sim), remote_(remote), name_(std::move(name)) {}
-
-  const std::string& name() const override { return name_; }
-  uint64_t current_epoch() const override { return remote_->current_epoch(); }
-  // Object naming piggybacks on the stream framing; no transfer of its own.
-  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
-    return remote_->CreateMemoryObject(size_hint);
-  }
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
-  [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                 uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
-  [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
-                                               const std::vector<uint8_t>& manifest,
-                                               Oid replaces_manifest) override;
-  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
-                                                    uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "net backend holds no namespace");
-  }
-  // Remote paging: one synchronous round trip per fault.
-  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
-  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
-                                    RestoreStream* stream) override;
-
- protected:
-  // Per-page wire framing: page index + length (matches the migration
-  // stream's per-block header granularity).
-  static constexpr uint64_t kPageHeaderBytes = 16;
-
-  // Queues `payload` bytes onto stream lane `lane`, returning arrival time.
-  // Never advances the local clock — checkpoint shipping is asynchronous.
-  // Lanes model concurrent streams: their latency halves overlap, while the
-  // wire's byte occupancy is shared (wire_busy_). With one lane the stream
-  // timeline always covers the wire bucket, i.e. the historical serial link.
-  SimTime QueueTransferOn(int lane, uint64_t payload);
-
-  SimContext* sim_;
-  MemoryBackend* remote_;
-  std::string name_;
-  SimTime wire_busy_ = 0;
-  // Content the peer's image table already holds, validated against the
-  // remote image on every hit.
-  PageContentCache content_cache_;
 };
 
 // -----------------------------------------------------------------------------
@@ -578,11 +507,14 @@ class ReplicaStandby : public MemoryBackend {
   std::map<uint64_t, std::shared_ptr<VmObject>> warm_;
 };
 
-// Primary side: ships every checkpoint epoch as a chunked stream over the
-// ReplicaLink. Extends NetBackend for the lane/wire timing model and the
-// pull-back restore path; the flush path is replaced by chunk encoding so
-// partitions, reordering and duplication act on whole chunks.
-class ReplicaBackend : public NetBackend {
+// Primary side, and the one way a checkpoint crosses the simulated NIC:
+// ships every epoch as a chunked stream over the ReplicaLink, so partitions,
+// reordering and duplication act on whole chunks. Every chunk is charged
+// CostModel::NetTransfer on the stream lanes (transfers queue behind one
+// another and share the wire's byte time); restores pull the standby's
+// image table back across the link. The standby may belong to another
+// simulated machine — its clock is never touched from here.
+class ReplicaBackend : public CheckpointBackend {
  public:
   struct HeartbeatProfile {
     SimDuration lease = 50 * kMillisecond;
@@ -592,7 +524,7 @@ class ReplicaBackend : public NetBackend {
 
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : NetBackend(sim, standby, std::move(name)), standby_(standby), link_(link) {
+      : sim_(sim), name_(std::move(name)), standby_(standby), link_(link) {
     standby->ConfigureLease(hb_.lease);
   }
 
@@ -612,17 +544,44 @@ class ReplicaBackend : public NetBackend {
   // typed kUnavailable when the link is partitioned away.
   [[nodiscard]] Status SendHeartbeat();
 
+  const std::string& name() const override { return name_; }
   uint64_t current_epoch() const override { return epoch_; }
+  // Object naming piggybacks on the stream framing; no transfer of its own.
+  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
+    return standby_->CreateMemoryObject(size_hint);
+  }
+  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
+  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
   [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                                const std::vector<uint8_t>& manifest,
                                                Oid replaces_manifest) override;
+  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
+                                                    uint64_t epoch) override;
+  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
+    return Status::Error(Errc::kNotSupported, "replica backend holds no namespace");
+  }
+  // Remote paging: one synchronous round trip per fault.
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
+  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) override;
 
   ReplicaStandby* standby() { return standby_; }
   ReplicaLink* link() { return link_; }
 
  private:
+  // Per-page wire framing: page index + length (matches the migration
+  // stream's per-block header granularity).
+  static constexpr uint64_t kPageHeaderBytes = 16;
+
+  // Queues `payload` bytes onto stream lane `lane`, returning arrival time.
+  // Never advances the local clock — checkpoint shipping is asynchronous.
+  // Lanes model concurrent streams: their latency halves overlap, while the
+  // wire's byte occupancy is shared (wire_busy_). With one lane the stream
+  // timeline always covers the wire bucket, i.e. the historical serial link.
+  SimTime QueueTransferOn(int lane, uint64_t payload);
+
   // Probes a partitioned link with exponential backoff (heartbeat-scale
   // retries); typed kUnavailable + net.partitions once they run out.
   [[nodiscard]] Status AwaitLink(const char* giveup);
@@ -632,6 +591,9 @@ class ReplicaBackend : public NetBackend {
   // link or the primary is gone. `payload_bytes` is the modelled wire charge.
   [[nodiscard]] Result<SimTime> ShipChunk(std::vector<uint8_t> bytes, uint64_t payload_bytes);
 
+  SimContext* sim_;
+  std::string name_;
+  SimTime wire_busy_ = 0;
   ReplicaStandby* standby_;
   ReplicaLink* link_;
   HeartbeatProfile hb_;

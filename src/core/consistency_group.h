@@ -49,7 +49,6 @@ class ConsistencyGroup {
   // Checkpoint policy. 10 ms (100x per second) is the paper's default.
   SimDuration period = 10 * kMillisecond;
   bool external_sync = true;
-  bool collapse_reversed = true;  // Aurora's collapse direction (ablatable)
   // Ablation toggle: reinstate the pre-incremental stopped window — full
   // write-protect sweeps over every object, one shootdown per address space
   // regardless of dirtied state, and all OS state serialized inside the stop
@@ -72,7 +71,7 @@ class ConsistencyGroup {
   // Durability times of flushes not yet known durable, pruned against now.
   std::vector<SimTime> inflight_durable;
   // One record per committed full checkpoint, for backpressure tests and
-  // the overlap ablation. Kept as a ring capped at ckpt_history_cap newest
+  // the overlap ablation. Kept as a ring capped at kCkptHistoryCap newest
   // records (a group checkpointing 100x/s would otherwise grow O(epochs)
   // memory over million-epoch runs); inflight_durable shares the cap.
   struct CkptRecord {
@@ -81,7 +80,7 @@ class ConsistencyGroup {
     uint64_t epoch = 0;
   };
   std::deque<CkptRecord> ckpt_history;
-  size_t ckpt_history_cap = 1024;
+  static constexpr size_t kCkptHistoryCap = 1024;
 
   // Memory overcommitment (paper section 6): when set, pages are dropped
   // from memory as soon as their checkpoint flush completes — the unified

@@ -234,7 +234,7 @@ void Sls::CkptCollapse(CheckpointContext* ctx) {
   size_t collapse_span = sim_->tracer.Begin("ckpt.collapse");
   for (const ShadowPair& pair : group->pending_collapse) {
     uint64_t oid = pair.frozen->sls_oid();
-    if (CollapseAfterFlush(pair, ctx->maps, group->collapse_reversed, sim_)) {
+    if (CollapseAfterFlush(pair, ctx->maps, /*reversed=*/true, sim_)) {
       std::shared_ptr<VmObject> base = pair.live->parent_ref();
       snapshots_[group][oid] = base;
       if (group->evict_after_flush && base != nullptr && base->parent() == nullptr &&
@@ -442,12 +442,12 @@ Status Sls::CkptCommit(CheckpointContext* ctx) {
   }
   // Pathological manual-checkpoint loops can outrun the time-based pruning
   // above; the ring cap bounds both books regardless.
-  if (inflight.size() > group->ckpt_history_cap) {
+  if (inflight.size() > ConsistencyGroup::kCkptHistoryCap) {
     inflight.erase(inflight.begin(),
-                   inflight.end() - static_cast<long>(group->ckpt_history_cap));
+                   inflight.end() - static_cast<long>(ConsistencyGroup::kCkptHistoryCap));
   }
   group->ckpt_history.push_back({ctx->begin, ctx->durable, commit.epoch});
-  while (group->ckpt_history.size() > group->ckpt_history_cap) {
+  while (group->ckpt_history.size() > ConsistencyGroup::kCkptHistoryCap) {
     group->ckpt_history.pop_front();
   }
 
@@ -536,7 +536,7 @@ void Sls::ApplyRetention(CheckpointContext* ctx) {
       sim_->metrics.counter("ckpt.retention_prune_failures").Add();
     }
   }
-  if (gc_auto_ && store_->layout() == StoreLayout::kSegmentLog) {
+  if (store_->layout() == StoreLayout::kSegmentLog) {
     Result<GcRunReport> run = gc()->Run();
     if (!run.ok()) {
       // Compaction failure never fails the checkpoint: the dead space just

@@ -179,12 +179,11 @@ class Sls {
   // --- Retention + segment GC ----------------------------------------------
   // Arms automatic epoch pruning for the group: after every durable full
   // checkpoint through the store backend, epochs outside the policy are
-  // dropped from the store directory and (on the segment-log layout, unless
-  // SetAutoGc(false)) a compaction pass reclaims the dead space.
+  // dropped from the store directory and (on the segment-log layout) a
+  // compaction pass reclaims the dead space.
   void SetRetentionPolicy(ConsistencyGroup* group, const RetentionPolicy& policy) {
     group->retention = policy;
   }
-  void SetAutoGc(bool enabled) { gc_auto_ = enabled; }
   // The store compactor (created on first use). For the CLI, tests, and
   // manual `sls gc` passes; null only if allocation ever fails.
   SegmentGc* gc();
@@ -266,9 +265,8 @@ class Sls {
   // One stderr line the first time an epoch aborts; counters track the rest.
   bool abort_logged_ = false;
   // Store compactor, created lazily by gc(); auto-GC runs it after each
-  // retention prune unless disabled.
+  // retention prune.
   std::unique_ptr<SegmentGc> gc_;
-  bool gc_auto_ = true;
   // Completion time of an in-progress eager restore's read stream.
   std::shared_ptr<SimTime> full_restore_done_;
 

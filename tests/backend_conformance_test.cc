@@ -46,12 +46,6 @@ class BackendConformance : public ::testing::TestWithParam<const char*> {
     if (which == "memory") {
       return m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim));
     }
-    if (which == "net") {
-      // net: the peer image table stands in for the remote machine.
-      auto* peer = static_cast<MemoryBackend*>(
-          m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim, "peer")));
-      return m.sls->RegisterBackend(std::make_unique<NetBackend>(&m.sim, peer));
-    }
     // replica: continuous ingest standby behind a fault-injectable link.
     link_ = std::make_unique<ReplicaLink>();
     auto* standby = static_cast<ReplicaStandby*>(
@@ -213,8 +207,56 @@ TEST_P(BackendConformance, EvictedPagesFaultBackByteExact) {
   EXPECT_EQ(got, model) << "evicted pages must fault back byte-exact";
 }
 
+// A region keeps its oid across epochs, so an image table that overwrites
+// pages in place cannot serve an older epoch: restoring one must either
+// return that epoch's bytes or fail typed — never the old manifest over the
+// newest pages.
+TEST_P(BackendConformance, OlderEpochRestoreIsExactOrRefused) {
+  Machine m;
+  CheckpointBackend* backend = PrepareBackend(m);
+
+  constexpr uint64_t kMem = 256 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kMem);
+  uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(m.sls->SetBackend(group, backend->name()).ok());
+
+  std::vector<uint8_t> first(kMem, 0x11);
+  ASSERT_TRUE(proc->vm().Write(addr, first.data(), kMem).ok());
+  auto c1 = m.sls->Checkpoint(group, "first");
+  ASSERT_TRUE(c1.ok());
+  std::vector<uint8_t> second(kMem, 0x22);
+  ASSERT_TRUE(proc->vm().Write(addr, second.data(), kMem).ok());
+  auto c2 = m.sls->Checkpoint(group, "second");
+  ASSERT_TRUE(c2.ok());
+  ASSERT_LT(c1->epoch, c2->epoch);
+
+  for (RestoreMode mode : {RestoreMode::kFull, RestoreMode::kLazy}) {
+    auto old = m.sls->Restore("app", c1->epoch, mode, backend);
+    if (!old.ok()) {
+      EXPECT_EQ(old.status().code(), Errc::kNotSupported) << old.status().message();
+      EXPECT_NE(std::string(GetParam()), "store") << "the store backend serves every epoch";
+      continue;
+    }
+    ASSERT_EQ(old->group->processes.size(), 1u);
+    std::vector<uint8_t> got(kMem);
+    ASSERT_TRUE(old->group->processes[0]->vm().Read(addr, got.data(), kMem).ok());
+    EXPECT_EQ(got, first) << "an older epoch must restore its own bytes";
+  }
+
+  // The newest epoch, named explicitly, always restores.
+  auto newest = m.sls->Restore("app", c2->epoch, RestoreMode::kFull, backend);
+  ASSERT_TRUE(newest.ok()) << newest.status().message();
+  ASSERT_EQ(newest->group->processes.size(), 1u);
+  std::vector<uint8_t> got(kMem);
+  ASSERT_TRUE(newest->group->processes[0]->vm().Read(addr, got.data(), kMem).ok());
+  EXPECT_EQ(got, second);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Values("store", "memory", "net", "replica"));
+                         ::testing::Values("store", "memory", "replica"));
 
 }  // namespace
 }  // namespace aurora
