@@ -143,12 +143,14 @@ for preset in default asan; do
 done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
-# matrix can cover the lint engine, the crash/restore paths and the wire
-# format's byte decoders directly.
+# matrix can cover the lint engine, the crash/restore paths, the wire
+# format's byte decoders and the store's one read-verify-decode path over
+# media bytes (clean, faulted, relocated and deduplicated) directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
 ubsan_tests=(lint_test crash_matrix_test wire_format_fuzz_test replication_test
-             backend_conformance_test)
+             backend_conformance_test objstore_test fault_matrix_test segment_gc_test
+             dedup_test)
 cmake --build --preset ubsan -j "${jobs}" --target "${ubsan_tests[@]}"
 for t in "${ubsan_tests[@]}"; do
   "build-ubsan/tests/${t}" >/dev/null

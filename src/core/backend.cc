@@ -124,7 +124,7 @@ Result<CheckpointBackend::CommitInfo> StoreBackend::CommitEpoch(
         store_->WriteAt(info.manifest_oid, 0, manifest.data(), manifest.size());
     if (!wrote.ok()) {
       // Drop the half-written manifest from the live table; leaving it would
-      // let FindManifestInStore return a manifest the commit never covered.
+      // let LoadManifestFromStore return a manifest the commit never covered.
       DropStrandedManifest(info.manifest_oid);
       return wrote.status();
     }
@@ -616,7 +616,7 @@ Status ReplicaStandby::LeaseCheck() const {
   if (link_->last_heartbeat() == 0) {
     return Status::Ok();  // never heard from a primary; nothing to wait out
   }
-  if (sim_->clock.now() <= link_->last_heartbeat() + lease_) {
+  if (sim_->clock.now() <= link_->last_heartbeat() + kLease) {
     return Status::Error(Errc::kBusy,
                          "primary lease still fresh; refusing failover (split-brain guard)");
   }
@@ -897,10 +897,10 @@ SimTime ReplicaBackend::QueueTransferOn(int lane, uint64_t payload) {
 
 Status ReplicaBackend::AwaitLink(const char* giveup) {
   MetricsRegistry& metrics = sim_->metrics;
-  SimDuration backoff = hb_.backoff;
+  SimDuration backoff = kLinkBackoff;
   for (int attempt = 1; link_->partitioned(); attempt++) {
     metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
+    if (attempt >= kLinkAttempts) {
       metrics.counter("net.partitions").Add();
       return Status::Error(Errc::kUnavailable, giveup);
     }
@@ -1077,9 +1077,9 @@ Status ReplicaBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
 // Shared store helpers
 // -----------------------------------------------------------------------------
 
-Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
-                                                     const std::string& group_name,
-                                                     uint64_t epoch) {
+Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* store,
+                                                                const std::string& group_name,
+                                                                uint64_t epoch) {
   std::vector<CheckpointInfo> ckpts = store->ListCheckpoints();
   std::sort(ckpts.begin(), ckpts.end(),
             [](const CheckpointInfo& a, const CheckpointInfo& b) { return a.epoch > b.epoch; });
@@ -1100,13 +1100,13 @@ Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
       if (!size.ok()) {
         continue;
       }
-      std::vector<uint8_t> blob(*size);
-      if (!store->ReadAtEpoch(c.epoch, oid, 0, blob.data(), blob.size()).ok()) {
+      CheckpointBackend::LoadedManifest loaded{c.epoch, oid, std::vector<uint8_t>(*size)};
+      if (!store->ReadAtEpoch(c.epoch, oid, 0, loaded.blob.data(), loaded.blob.size()).ok()) {
         continue;
       }
-      auto head = PeekManifest(blob);
+      auto head = PeekManifest(loaded.blob);
       if (head.ok() && head->name == group_name) {
-        return std::make_pair(c.epoch, oid);
+        return loaded;
       }
     }
     if (epoch != 0) {
@@ -1114,20 +1114,6 @@ Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
     }
   }
   return Status::Error(Errc::kNotFound, "no checkpoint manifest for group " + group_name);
-}
-
-Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* store,
-                                                                const std::string& group_name,
-                                                                uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(auto found, FindManifestInStore(store, group_name, epoch));
-  CheckpointBackend::LoadedManifest loaded;
-  loaded.epoch = found.first;
-  loaded.oid = found.second;
-  AURORA_ASSIGN_OR_RETURN(uint64_t size, store->SizeAtEpoch(loaded.epoch, loaded.oid));
-  loaded.blob.resize(size);
-  AURORA_RETURN_IF_ERROR(
-      store->ReadAtEpoch(loaded.epoch, loaded.oid, 0, loaded.blob.data(), loaded.blob.size()));
-  return loaded;
 }
 
 }  // namespace aurora

@@ -1,14 +1,14 @@
 // Pluggable checkpoint backends (paper section 4, Table 2).
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
-// object store, RAM-resident snapshot images (the memory-backend ablation),
-// and a warm standby on another machine, fed continuously over the NIC —
-// the one way a checkpoint crosses the network. (`sls send` / `sls recv`
-// migration is not a backend; it shares only the wire format below.) The
-// Sls checkpoint/restore engine talks to all of them through CheckpointBackend,
-// so the pipeline stages — quiesce, serialize, shadow, resume, async flush,
-// commit, release — are written once and the destination only decides where
-// bytes land and what each transfer costs.
+// object store, RAM-resident snapshot images, and a warm standby on another
+// machine, fed continuously over the NIC — the one way a checkpoint crosses
+// the network. (`sls send` / `sls recv` migration is not a backend; it
+// shares only the wire format below.) The Sls checkpoint/restore engine
+// talks to all of them through CheckpointBackend, so the pipeline stages —
+// quiesce, serialize, shadow, resume, async flush, commit, release — are
+// written once and the destination only decides where bytes land and what
+// each transfer costs.
 //
 // Restores and the swap path are written once too: a backend is a page
 // source (ReadPage for one page of an object at an epoch, StreamObject for a
@@ -193,9 +193,9 @@ class StoreBackend : public CheckpointBackend {
 };
 
 // -----------------------------------------------------------------------------
-// MemoryBackend: RAM-resident checkpoint images (the paper's memory-backend
-// ablation). An asynchronous flusher copies pages into per-object images at
-// memcpy bandwidth; images survive process teardown but not machine reboot.
+// MemoryBackend: RAM-resident checkpoint images. An asynchronous flusher
+// copies pages into per-object images at memcpy bandwidth; images survive
+// process teardown but not machine reboot.
 // A region keeps its oid across epochs, so each flush overwrites that
 // object's pages in place: the table holds the newest image of each group,
 // and the store backend is the path to older epochs.
@@ -433,8 +433,7 @@ class ReplicaStandby : public MemoryBackend {
   SimTime ingest_busy_until() const { return ingest_busy_until_; }
 
   // --- Heartbeat lease -----------------------------------------------------
-  void ConfigureLease(SimDuration lease) { lease_ = lease; }
-  SimDuration lease() const { return lease_; }
+  SimDuration lease() const { return kLease; }
   // kBusy while the primary's lease is still fresh (split-brain guard).
   [[nodiscard]] Status LeaseCheck() const;
 
@@ -500,7 +499,8 @@ class ReplicaStandby : public MemoryBackend {
   uint64_t poisoned_epoch_ = 0;
   SimTime ingest_busy_until_ = 0;
   uint64_t pages_applied_total_ = 0;  // lifetime pages patched into warm images
-  SimDuration lease_ = 50 * kMillisecond;
+  // How long after the primary's last heartbeat failover stays refused.
+  static constexpr SimDuration kLease = 50 * kMillisecond;
   bool promoted_ = false;
   // Ready-to-run images, continuously patched at apply time. Handing one to
   // the promoted incarnation removes it from the table.
@@ -516,22 +516,10 @@ class ReplicaStandby : public MemoryBackend {
 // simulated machine — its clock is never touched from here.
 class ReplicaBackend : public CheckpointBackend {
  public:
-  struct HeartbeatProfile {
-    SimDuration lease = 50 * kMillisecond;
-    int max_attempts = 4;                     // sends retried before giving up
-    SimDuration backoff = 2 * kMillisecond;   // doubles per retry
-  };
-
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : sim_(sim), name_(std::move(name)), standby_(standby), link_(link) {
-    standby->ConfigureLease(hb_.lease);
-  }
+      : sim_(sim), name_(std::move(name)), standby_(standby), link_(link) {}
 
-  void ConfigureHeartbeat(const HeartbeatProfile& profile) {
-    hb_ = profile;
-    standby_->ConfigureLease(profile.lease);
-  }
   // Crash fuse: the primary dies after pushing `n` more frames. Later
   // backend calls fail kUnavailable; the wire prefix stays deliverable.
   void CrashAfterFrames(uint64_t n) {
@@ -584,6 +572,8 @@ class ReplicaBackend : public CheckpointBackend {
 
   // Probes a partitioned link with exponential backoff (heartbeat-scale
   // retries); typed kUnavailable + net.partitions once they run out.
+  static constexpr int kLinkAttempts = 4;                        // probes before giving up
+  static constexpr SimDuration kLinkBackoff = 2 * kMillisecond;  // doubles per retry
   [[nodiscard]] Status AwaitLink(const char* giveup);
   // Header of the current epoch's next chunk, (re)starting the stream first.
   ReplChunk NextChunk();
@@ -596,7 +586,6 @@ class ReplicaBackend : public CheckpointBackend {
   SimTime wire_busy_ = 0;
   ReplicaStandby* standby_;
   ReplicaLink* link_;
-  HeartbeatProfile hb_;
   uint64_t epoch_ = 1;
   uint64_t attempt_ = 0;   // bumped when an epoch stream (re)starts
   uint64_t seq_ = 0;       // next chunk seq within the current epoch
@@ -611,10 +600,8 @@ class ReplicaBackend : public CheckpointBackend {
 // lookup is implemented exactly once).
 // -----------------------------------------------------------------------------
 // Scans committed checkpoints newest-first for a manifest whose header names
-// `group_name`; `epoch` 0 = newest. Returns (epoch, manifest oid).
-[[nodiscard]] Result<std::pair<uint64_t, Oid>> FindManifestInStore(
-    ObjectStore* store, const std::string& group_name, uint64_t epoch);
-// FindManifestInStore plus the final manifest read.
+// `group_name`; `epoch` 0 = newest. Returns the blob the header check read,
+// so a lookup reads the chosen manifest exactly once.
 [[nodiscard]] Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(
     ObjectStore* store, const std::string& group_name, uint64_t epoch);
 

@@ -46,8 +46,8 @@ class SlsCli {
                                               RestoreMode mode = RestoreMode::kFull,
                                               const std::string& backend_name = "");
   // sls ckpt --backend=<name>: routes the group's future checkpoints through
-  // the named backend (store / memory / net). Legal only while the group has
-  // no checkpoint state in flight.
+  // the named backend (store / memory / replica). Legal only while the group
+  // has no checkpoint state in flight.
   [[nodiscard]] Status SetBackend(const std::string& group_name, const std::string& backend_name);
   // sls ckpt --in-flight-epochs=<n>: epoch-overlap backpressure knob for
   // periodic checkpoints. 1 (default) = a new epoch never starts before the

@@ -524,34 +524,32 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   return w.Take();
 }
 
-Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest) {
-  BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
+namespace {
+// The one manifest-header reader: magic, version, group name, epoch and
+// namespace oid, leaving `r` at the memory-object section.
+Result<RestoredGroup> ReadManifestHeader(BinaryReader* r) {
+  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r->U32());
+  AURORA_ASSIGN_OR_RETURN(uint32_t version, r->U32());
   if (magic != kManifestMagic || version != kManifestVersion) {
     return Status::Error(Errc::kCorrupt, "bad manifest header");
   }
   RestoredGroup out;
-  AURORA_ASSIGN_OR_RETURN(out.name, r.String());
-  AURORA_ASSIGN_OR_RETURN(out.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r.U64());
+  AURORA_ASSIGN_OR_RETURN(out.name, r->String());
+  AURORA_ASSIGN_OR_RETURN(out.epoch, r->U64());
+  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r->U64());
   return out;
+}
+}  // namespace
+
+Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest) {
+  BinaryReader r(manifest);
+  return ReadManifestHeader(&r);
 }
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> ManifestMemoryObjects(
     const std::vector<uint8_t>& manifest) {
   BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kManifestMagic || version != kManifestVersion) {
-    return Status::Error(Errc::kCorrupt, "bad manifest header");
-  }
-  AURORA_ASSIGN_OR_RETURN(std::string name, r.String());
-  AURORA_ASSIGN_OR_RETURN(uint64_t epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(uint64_t ns, r.U64());
-  (void)name;
-  (void)epoch;
-  (void)ns;
+  AURORA_RETURN_IF_ERROR(ReadManifestHeader(&r).status());
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   std::vector<std::pair<uint64_t, uint64_t>> out;
   out.reserve(count);
@@ -567,15 +565,7 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
                                      const std::vector<uint8_t>& manifest,
                                      const MemoryResolverFn& resolve) {
   BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kManifestMagic || version != kManifestVersion) {
-    return Status::Error(Errc::kCorrupt, "bad manifest header");
-  }
-  RestoredGroup out;
-  AURORA_ASSIGN_OR_RETURN(out.name, r.String());
-  AURORA_ASSIGN_OR_RETURN(out.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r.U64());
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup out, ReadManifestHeader(&r));
 
   // A mid-restore failure (truncated manifest, resolver error, mapping
   // conflict) must not leak half-built state: every process created below

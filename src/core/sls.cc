@@ -12,6 +12,13 @@ namespace {
 // handoff: the fixed cost of an atomic-region checkpoint beyond shadowing
 // (calibrated to Table 5's atomic column intercept).
 constexpr SimDuration kMemCkptHandoff = 72 * kMicrosecond;
+
+// Drops the durability times of in-flight flushes that have landed by `now`.
+void PruneLandedFlushes(std::vector<SimTime>* inflight, SimTime now) {
+  inflight->erase(std::remove_if(inflight->begin(), inflight->end(),
+                                 [now](SimTime t) { return t <= now; }),
+                  inflight->end());
+}
 }  // namespace
 
 Sls::Sls(SimContext* sim, Kernel* kernel, ObjectStore* store, AuroraFs* fs)
@@ -319,15 +326,12 @@ void Sls::CkptShadow(CheckpointContext* ctx) {
   size_t shadow_span = sim_->tracer.Begin("ckpt.shadow");
   SimStopwatch shadow_watch(sim_->clock);
   SystemShadowStats shadow_stats;
-  ShadowOptions options;
-  options.skip_clean = !ctx->group->legacy_stop_path;
-  options.elide_shootdowns = !ctx->group->legacy_stop_path;
   ctx->pairs = CreateSystemShadows(
       ctx->maps, sim_,
       [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
         kernel_->RebindShmObjects(old_top, new_top);
       },
-      &shadow_stats, options);
+      &shadow_stats, ctx->group->legacy_stop_path);
   for (const ShadowPair& pair : ctx->pairs) {
     snapshots_[ctx->group][pair.frozen->sls_oid()] = pair.frozen;
   }
@@ -372,29 +376,19 @@ Status Sls::CkptAsyncFlush(CheckpointContext* ctx) {
   ConsistencyGroup* group = ctx->group;
   size_t flush_span = sim_->tracer.Begin("ckpt.flush");
   ctx->durable = sim_->clock.now();
-  for (const ShadowPair& pair : group->unflushed_frozen) {
-    Oid oid{pair.frozen->sls_oid()};
-    if (!oid.valid()) {
-      continue;
+  for (const std::vector<ShadowPair>* pairs : {&group->unflushed_frozen, &ctx->pairs}) {
+    for (const ShadowPair& pair : *pairs) {
+      Oid oid{pair.frozen->sls_oid()};
+      if (!oid.valid()) {
+        continue;  // excluded region
+      }
+      AURORA_ASSIGN_OR_RETURN(SimTime t,
+                              ctx->backend->WriteObjectPages(oid, pair.frozen.get(),
+                                                             &ctx->result.pages_flushed,
+                                                             &ctx->result.bytes_flushed));
+      ctx->durable = std::max(ctx->durable, t);
+      group->persisted_oids.insert(oid.value);
     }
-    AURORA_ASSIGN_OR_RETURN(SimTime t,
-                            ctx->backend->WriteObjectPages(oid, pair.frozen.get(),
-                                                           &ctx->result.pages_flushed,
-                                                           &ctx->result.bytes_flushed));
-    ctx->durable = std::max(ctx->durable, t);
-    group->persisted_oids.insert(oid.value);
-  }
-  for (const ShadowPair& pair : ctx->pairs) {
-    Oid oid{pair.frozen->sls_oid()};
-    if (!oid.valid()) {
-      continue;  // excluded region
-    }
-    AURORA_ASSIGN_OR_RETURN(SimTime t,
-                            ctx->backend->WriteObjectPages(oid, pair.frozen.get(),
-                                                           &ctx->result.pages_flushed,
-                                                           &ctx->result.bytes_flushed));
-    ctx->durable = std::max(ctx->durable, t);
-    group->persisted_oids.insert(oid.value);
   }
   AURORA_ASSIGN_OR_RETURN(SimTime chains_done, FlushUnpersistedChains(ctx));
   ctx->durable = std::max(ctx->durable, chains_done);
@@ -434,9 +428,7 @@ Status Sls::CkptCommit(CheckpointContext* ctx) {
   // Epoch-overlap bookkeeping for the periodic scheduler and benches.
   SimTime now = sim_->clock.now();
   auto& inflight = group->inflight_durable;
-  inflight.erase(std::remove_if(inflight.begin(), inflight.end(),
-                                [now](SimTime t) { return t <= now; }),
-                 inflight.end());
+  PruneLandedFlushes(&inflight, now);
   if (ctx->durable > now) {
     inflight.push_back(ctx->durable);
   }
@@ -468,17 +460,7 @@ void Sls::CkptRelease(CheckpointContext* ctx) {
     auto sends = std::make_shared<std::vector<ConsistencyGroup::PendingSend>>(
         std::move(group->pending_sends));
     group->pending_sends.clear();
-    sim_->events.At(ctx->durable, [this, sends]() {
-      for (auto& send : *sends) {
-        // The release fires from the event loop, long after the caller of
-        // SendExternal returned: there is nowhere to propagate to, so a
-        // peer that vanished while the message was held is counted instead.
-        Result<uint64_t> sent = send.socket->Send(send.data.data(), send.data.size());
-        if (!sent.ok()) {
-          sim_->metrics.counter("sls.release_send_failures").Add(1);
-        }
-      }
-    });
+    sim_->events.At(ctx->durable, [this, sends]() { ReleasePendingSends(sends.get()); });
   }
   sim_->tracer.EndAt(release_span, ctx->durable);
 }
@@ -659,11 +641,8 @@ void Sls::ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> al
     // section 7 serializes on durability; limit 2 overlaps epoch N+1's
     // serialization with epoch N's flush). Wait out the earliest flush when
     // the window is full, then rearm the period.
-    SimTime now = sim_->clock.now();
     auto& inflight = group->inflight_durable;
-    inflight.erase(std::remove_if(inflight.begin(), inflight.end(),
-                                  [now](SimTime t) { return t <= now; }),
-                   inflight.end());
+    PruneLandedFlushes(&inflight, sim_->clock.now());
     if (inflight.size() >= group->max_in_flight_epochs) {
       SimTime earliest = *std::min_element(inflight.begin(), inflight.end());
       sim_->events.At(earliest, [this, group, alive]() {
@@ -686,14 +665,17 @@ void Sls::ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> al
   });
 }
 
-void Sls::ReleasePendingSends(ConsistencyGroup* group) {
-  for (auto& send : group->pending_sends) {
+void Sls::ReleasePendingSends(std::vector<ConsistencyGroup::PendingSend>* sends) {
+  for (auto& send : *sends) {
+    // Releases fire long after the caller of SendExternal returned: there is
+    // nowhere to propagate to, so a peer that vanished while the message was
+    // held is counted instead.
     Result<uint64_t> sent = send.socket->Send(send.data.data(), send.data.size());
     if (!sent.ok()) {
       sim_->metrics.counter("sls.release_send_failures").Add(1);
     }
   }
-  group->pending_sends.clear();
+  sends->clear();
 }
 
 Result<uint64_t> Sls::SendExternal(ConsistencyGroup* group,
@@ -710,9 +692,9 @@ Result<uint64_t> Sls::SendExternal(ConsistencyGroup* group,
   return len;
 }
 
-Result<std::pair<uint64_t, Oid>> Sls::FindManifest(const std::string& group_name,
-                                                   uint64_t epoch) {
-  return FindManifestInStore(store_, group_name, epoch);
+Result<CheckpointBackend::LoadedManifest> Sls::FindManifest(const std::string& group_name,
+                                                            uint64_t epoch) {
+  return LoadManifestFromStore(store_, group_name, epoch);
 }
 
 void Sls::WrapRestoredTops(ConsistencyGroup* group) {
@@ -975,7 +957,7 @@ Status Sls::Barrier(ConsistencyGroup* group) {
   if (it != last_durable_.end()) {
     sim_->clock.AdvanceTo(it->second);
   }
-  ReleasePendingSends(group);
+  ReleasePendingSends(&group->pending_sends);
   return Status::Ok();
 }
 

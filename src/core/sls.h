@@ -9,8 +9,8 @@
 //
 // Stop time covers quiesce through resume; everything after overlaps
 // application execution. The flush/commit half talks to a pluggable
-// CheckpointBackend (store, memory, net), so local checkpoints, the
-// memory-backend ablation and remote checkpoints share one engine.
+// CheckpointBackend (store, memory, replica), so local, RAM-resident and
+// remote checkpoints share one engine.
 #ifndef SRC_CORE_SLS_H_
 #define SRC_CORE_SLS_H_
 
@@ -189,9 +189,10 @@ class Sls {
   SegmentGc* gc();
 
   // --- Introspection -------------------------------------------------------
-  // Locates the manifest for `group_name` at `epoch` (0 = latest).
-  [[nodiscard]] Result<std::pair<uint64_t, Oid>> FindManifest(const std::string& group_name,
-                                                              uint64_t epoch);
+  // Locates and reads the store manifest for `group_name` at `epoch`
+  // (0 = latest).
+  [[nodiscard]] Result<CheckpointBackend::LoadedManifest> FindManifest(
+      const std::string& group_name, uint64_t epoch);
   std::vector<CheckpointInfo> ListCheckpoints() const { return store_->ListCheckpoints(); }
 
   SimContext* sim() { return sim_; }
@@ -235,7 +236,9 @@ class Sls {
   std::vector<VmMap*> GroupMaps(ConsistencyGroup* group);
   // Walks entry + shm chains, flushing never-persisted lower links.
   [[nodiscard]] Result<SimTime> FlushUnpersistedChains(CheckpointContext* ctx);
-  void ReleasePendingSends(ConsistencyGroup* group);
+  // Sends held messages, counting each peer that vanished meanwhile, and
+  // empties `sends`.
+  void ReleasePendingSends(std::vector<ConsistencyGroup::PendingSend>* sends);
   // Wraps every restored top object in a live shadow so the next checkpoint
   // is incremental rather than a full rewrite.
   void WrapRestoredTops(ConsistencyGroup* group);

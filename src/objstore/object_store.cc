@@ -110,26 +110,21 @@ Status ObjectStore::DevReadSync(uint64_t lba, void* out, uint32_t ndev) {
   return RetryIo(sim_, retry_, [&] { return device_->ReadSync(lba, out, ndev); });
 }
 
-Status ObjectStore::VerifyBlockCrc(const Extent& extent, const uint8_t* data) {
-  uint32_t span = extent.stored_len != 0 ? extent.stored_len : options_.block_size;
-  if (Crc32c(data, span) == extent.crc) {
+Status ObjectStore::VerifyCrc(uint64_t phys, uint32_t crc, uint32_t stored_len,
+                              const uint8_t* data) {
+  uint32_t span = stored_len != 0 ? stored_len : options_.block_size;
+  if (Crc32c(data, span) == crc) {
     return Status::Ok();
   }
   sim_->metrics.counter("io.crc_errors").Add();
   return Status::Error(Errc::kCorrupt,
-                       "store block checksum mismatch at phys " + std::to_string(extent.phys));
+                       "store block checksum mismatch at phys " + std::to_string(phys));
 }
 
 Status ObjectStore::ReadBlockVerified(uint64_t phys, uint32_t crc, uint32_t stored_len,
                                       uint8_t* buf) {
   AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(phys), buf, DevBlocksForStored(stored_len)));
-  uint32_t span = stored_len != 0 ? stored_len : options_.block_size;
-  if (Crc32c(buf, span) != crc) {
-    sim_->metrics.counter("io.crc_errors").Add();
-    return Status::Error(Errc::kCorrupt,
-                         "store block checksum mismatch at phys " + std::to_string(phys));
-  }
-  return Status::Ok();
+  return VerifyCrc(phys, crc, stored_len, buf);
 }
 
 uint32_t ObjectStore::DevBlocksForStored(uint32_t stored_len) const {
@@ -140,12 +135,27 @@ uint32_t ObjectStore::DevBlocksForStored(uint32_t stored_len) const {
   return (stored_len + dev_bs - 1) / dev_bs;
 }
 
-Status ObjectStore::DecodeStored(const Extent& extent, const uint8_t* stored, uint8_t* block) {
-  AURORA_RETURN_IF_ERROR(VerifyBlockCrc(extent, stored));
+Status ObjectStore::LoadExtent(const Extent& extent, uint64_t phys, uint8_t* block,
+                               uint32_t queue, SimTime* completion) {
+  // Raw extents land straight in `block`; coded payloads read into scratch
+  // and decode from there.
+  const uint32_t ndev = DevBlocksForStored(extent.stored_len);
+  std::vector<uint8_t> scratch;
+  uint8_t* stored = block;
+  if (extent.stored_len != 0) {
+    scratch.resize(static_cast<size_t>(ndev) * device_->block_size());
+    stored = scratch.data();
+  }
+  if (completion == nullptr) {
+    AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(phys), stored, ndev));
+  } else {
+    AURORA_ASSIGN_OR_RETURN(SimTime done, DevRead(queue, DevLba(phys), stored, ndev));
+    *completion = std::max(*completion, done);
+  }
+  // The CRC names the extent's recorded block, which differs from `phys`
+  // only for a historic read of a block GC has since relocated.
+  AURORA_RETURN_IF_ERROR(VerifyCrc(extent.phys, extent.crc, extent.stored_len, stored));
   if (extent.stored_len == 0) {
-    if (stored != block) {
-      std::memcpy(block, stored, options_.block_size);
-    }
     return Status::Ok();
   }
   const ExtentCodec* codec = FindExtentCodec(static_cast<CodecId>(extent.codec));
@@ -155,35 +165,6 @@ Status ObjectStore::DecodeStored(const Extent& extent, const uint8_t* stored, ui
   }
   sim_->clock.Advance(sim_->cost.Decompress(options_.block_size));
   return codec->Decompress(stored, extent.stored_len, block, options_.block_size);
-}
-
-Status ObjectStore::LoadExtentSync(const Extent& extent, uint64_t phys, uint8_t* block) {
-  if (extent.stored_len == 0) {
-    AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(phys), block, DevBlocksPerStoreBlock()));
-    return DecodeStored(extent, block, block);
-  }
-  std::vector<uint8_t> scratch(static_cast<size_t>(DevBlocksForStored(extent.stored_len)) *
-                               device_->block_size());
-  AURORA_RETURN_IF_ERROR(
-      DevReadSync(DevLba(phys), scratch.data(), DevBlocksForStored(extent.stored_len)));
-  return DecodeStored(extent, scratch.data(), block);
-}
-
-Result<SimTime> ObjectStore::LoadExtentAsync(uint32_t queue, const Extent& extent, uint64_t phys,
-                                             uint8_t* block) {
-  if (extent.stored_len == 0) {
-    AURORA_ASSIGN_OR_RETURN(SimTime done,
-                            DevRead(queue, DevLba(phys), block, DevBlocksPerStoreBlock()));
-    AURORA_RETURN_IF_ERROR(DecodeStored(extent, block, block));
-    return done;
-  }
-  std::vector<uint8_t> scratch(static_cast<size_t>(DevBlocksForStored(extent.stored_len)) *
-                               device_->block_size());
-  AURORA_ASSIGN_OR_RETURN(
-      SimTime done,
-      DevRead(queue, DevLba(phys), scratch.data(), DevBlocksForStored(extent.stored_len)));
-  AURORA_RETURN_IF_ERROR(DecodeStored(extent, scratch.data(), block));
-  return done;
 }
 
 Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, SimContext* sim,
@@ -250,17 +231,8 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
     options.block_size = sb.block_size;
     auto store = std::unique_ptr<ObjectStore>(new ObjectStore(device, sim, options));
     store->total_blocks_ = sb.total_blocks;
-    std::vector<uint8_t> blob(sb.meta_len);
-    uint64_t nblocks = (sb.meta_len + options.block_size - 1) / options.block_size;
-    std::vector<uint8_t> raw(nblocks * options.block_size);
-    if (!store
-             ->DevReadSync(store->DevLba(sb.meta_block), raw.data(),
-                           static_cast<uint32_t>(nblocks * store->DevBlocksPerStoreBlock()))
-             .ok()) {
-      continue;
-    }
-    std::memcpy(blob.data(), raw.data(), sb.meta_len);
-    if (!store->DeserializeMeta(blob).ok()) {
+    auto blob = store->ReadMetaBlob(sb.meta_block, sb.meta_len);
+    if (!blob.ok() || !store->DeserializeMeta(*blob).ok()) {
       continue;  // torn metadata: fall back to the previous checkpoint
     }
     store->epoch_ = sb.epoch + 1;
@@ -960,7 +932,7 @@ Result<SimTime> ObjectStore::WriteAt(Oid oid, uint64_t off, const void* data, ui
       // Partial overwrite of an existing block: COW read-modify-write. The
       // CRC check keeps a silently corrupted block from being folded into
       // the rewrite and laundered under a fresh checksum.
-      AURORA_RETURN_IF_ERROR(LoadExtentSync(old->second, old->second.phys, buf.data()));
+      AURORA_RETURN_IF_ERROR(LoadExtent(old->second, old->second.phys, buf.data(), 0, nullptr));
     } else {
       std::memset(buf.data(), 0, bs);
     }
@@ -1032,11 +1004,7 @@ Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& run
     if (old != info.extents.end() && covered < bs) {
       // Asynchronous RMW read: data is host-resident; the device time folds
       // into this block's write completion rather than stalling the caller.
-      auto rdone = LoadExtentAsync(lane, old->second, old->second.phys, buf.data());
-      if (!rdone.ok()) {
-        return rdone.status();
-      }
-      done = std::max(done, *rdone);
+      AURORA_RETURN_IF_ERROR(LoadExtent(old->second, old->second.phys, buf.data(), lane, &done));
       lane_bytes += static_cast<uint64_t>(DevBlocksForStored(old->second.stored_len)) *
                     device_->block_size();
       sim_->metrics.counter("store.rmw_folds").Add();
@@ -1070,10 +1038,17 @@ Status ObjectStore::ReadAt(Oid oid, uint64_t off, void* out, uint64_t len) {
   if (it == objects_.end()) {
     return Status::Error(Errc::kNotFound, "no such object");
   }
-  const ObjectInfo& info = it->second;
+  // SegmentGc stamps every relocation with the epoch it ran in, never later
+  // than the current one, so the live table's view translates nothing.
+  return ReadExtents(it->second, epoch_, off, out, len, nullptr);
+}
+
+Status ObjectStore::ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uint64_t off,
+                                void* out, uint64_t len, SimTime* completion) {
   const uint32_t bs = options_.block_size;
   auto* dst = static_cast<uint8_t*>(out);
   std::vector<uint8_t> buf(bs);
+  SimTime done = sim_->clock.now();
   uint64_t pos = off;
   uint64_t remaining = len;
   while (remaining > 0) {
@@ -1084,12 +1059,24 @@ Status ObjectStore::ReadAt(Oid oid, uint64_t off, void* out, uint64_t len) {
     if (ext == info.extents.end()) {
       std::memset(dst, 0, chunk);
     } else {
-      AURORA_RETURN_IF_ERROR(LoadExtentSync(ext->second, ext->second.phys, buf.data()));
+      // The table's recorded location translates through the relocation map
+      // in case GC moved the block after `view_epoch` committed. Streaming
+      // reads pipeline, and with flush lanes configured they also fan out
+      // over the device submission queues.
+      uint64_t phys = TranslatePhys(ext->second.phys, view_epoch);
+      if (completion != nullptr) {
+        AURORA_RETURN_IF_ERROR(LoadExtent(ext->second, phys, buf.data(), NextFlushLane(), &done));
+      } else {
+        AURORA_RETURN_IF_ERROR(LoadExtent(ext->second, phys, buf.data(), 0, nullptr));
+      }
       std::memcpy(dst, buf.data() + in_block, chunk);
     }
     pos += chunk;
     dst += chunk;
     remaining -= chunk;
+  }
+  if (completion != nullptr) {
+    *completion = std::max(*completion, done);
   }
   return Status::Ok();
 }
@@ -1394,20 +1381,23 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   record.meta_block = meta_block;
   record.meta_len = blob.size();
 
+  // A failed commit leaves the epoch open for another attempt; it must not
+  // leak its metadata blocks or record a checkpoint nobody can read.
+  auto free_meta_run = [&] {
+    if (seglog) {
+      FreeMetaRun(meta_block, nblocks);
+      return;
+    }
+    for (uint64_t b = 0; b < nblocks; b++) {
+      FreeBlock(meta_block + b);
+    }
+  };
   std::vector<uint8_t> padded(nblocks * options_.block_size, 0);
   std::memcpy(padded.data(), blob.data(), blob.size());
   auto meta_wrote = DevWrite(0, DevLba(meta_block), padded.data(),
                              static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock()));
   if (!meta_wrote.ok()) {
-    // A failed commit leaves the epoch open for another attempt; it must not
-    // leak its metadata blocks or record a checkpoint nobody can read.
-    if (seglog) {
-      FreeMetaRun(meta_block, nblocks);
-    } else {
-      for (uint64_t b = 0; b < nblocks; b++) {
-        FreeBlock(meta_block + b);
-      }
-    }
+    free_meta_run();
     return meta_wrote.status();
   }
   SimTime meta_done = *meta_wrote;
@@ -1417,13 +1407,7 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   Status super = WriteSuperblock(meta_block, blob.size(), &super_done);
   if (!super.ok()) {
     checkpoints_.pop_back();
-    if (seglog) {
-      FreeMetaRun(meta_block, nblocks);
-    } else {
-      for (uint64_t b = 0; b < nblocks; b++) {
-        FreeBlock(meta_block + b);
-      }
-    }
+    free_meta_run();
     return super;
   }
 
@@ -1499,29 +1483,35 @@ Status ObjectStore::DeleteCheckpointsBefore(uint64_t epoch) {
   return Status::Ok();
 }
 
+Result<std::vector<uint8_t>> ObjectStore::ReadMetaBlob(uint64_t meta_block, uint64_t meta_len) {
+  uint64_t nblocks = (meta_len + options_.block_size - 1) / options_.block_size;
+  std::vector<uint8_t> blob(nblocks * options_.block_size);
+  AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(meta_block), blob.data(),
+                                     static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock())));
+  blob.resize(meta_len);
+  return blob;
+}
+
+Result<std::unordered_map<Oid, ObjectStore::ObjectInfo>> ObjectStore::ReadEpochTable(
+    const CheckpointRecord& record) {
+  AURORA_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
+                          ReadMetaBlob(record.meta_block, record.meta_len));
+  // Parse into a scratch store object so the live table is untouched.
+  ObjectStore scratch(device_, sim_, options_);
+  AURORA_RETURN_IF_ERROR(scratch.DeserializeMeta(blob));
+  return std::move(scratch.objects_);
+}
+
 Result<const ObjectStore::ObjectInfo*> ObjectStore::LoadEpochTable(uint64_t epoch, Oid oid) {
   auto cached = epoch_cache_.find(epoch);
   if (cached == epoch_cache_.end()) {
-    const CheckpointRecord* record = nullptr;
-    for (const CheckpointRecord& c : checkpoints_) {
-      if (c.epoch == epoch) {
-        record = &c;
-        break;
-      }
-    }
-    if (record == nullptr) {
+    auto record = std::find_if(checkpoints_.begin(), checkpoints_.end(),
+                               [epoch](const CheckpointRecord& c) { return c.epoch == epoch; });
+    if (record == checkpoints_.end()) {
       return Status::Error(Errc::kNotFound, "no such checkpoint");
     }
-    uint64_t nblocks = (record->meta_len + options_.block_size - 1) / options_.block_size;
-    std::vector<uint8_t> raw(nblocks * options_.block_size);
-    AURORA_RETURN_IF_ERROR(
-        DevReadSync(DevLba(record->meta_block), raw.data(),
-                    static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock())));
-    std::vector<uint8_t> blob(raw.begin(), raw.begin() + static_cast<long>(record->meta_len));
-    // Parse into a scratch store object so the live table is untouched.
-    ObjectStore scratch(device_, sim_, options_);
-    AURORA_RETURN_IF_ERROR(scratch.DeserializeMeta(blob));
-    cached = epoch_cache_.emplace(epoch, std::move(scratch.objects_)).first;
+    AURORA_ASSIGN_OR_RETURN(auto table, ReadEpochTable(*record));
+    cached = epoch_cache_.emplace(epoch, std::move(table)).first;
   }
   auto obj = cached->second.find(oid);
   if (obj == cached->second.end()) {
@@ -1533,42 +1523,7 @@ Result<const ObjectStore::ObjectInfo*> ObjectStore::LoadEpochTable(uint64_t epoc
 Status ObjectStore::ReadAtEpoch(uint64_t epoch, Oid oid, uint64_t off, void* out, uint64_t len,
                                 SimTime* completion) {
   AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  const uint32_t bs = options_.block_size;
-  auto* dst = static_cast<uint8_t*>(out);
-  std::vector<uint8_t> buf(bs);
-  SimTime done = sim_->clock.now();
-  uint64_t pos = off;
-  uint64_t remaining = len;
-  while (remaining > 0) {
-    uint64_t logical = pos / bs;
-    uint64_t in_block = pos % bs;
-    uint64_t chunk = std::min<uint64_t>(remaining, bs - in_block);
-    auto ext = info->extents.find(logical);
-    if (ext == info->extents.end()) {
-      std::memset(dst, 0, chunk);
-    } else if (completion != nullptr) {
-      // Streaming restore: reads pipeline, and with flush lanes configured
-      // they also fan out over the device submission queues. The checkpoint's
-      // recorded location translates through the relocation map in case GC
-      // moved the block after this epoch committed.
-      uint64_t phys = TranslatePhys(ext->second.phys, epoch);
-      AURORA_ASSIGN_OR_RETURN(SimTime t,
-                              LoadExtentAsync(NextFlushLane(), ext->second, phys, buf.data()));
-      done = std::max(done, t);
-      std::memcpy(dst, buf.data() + in_block, chunk);
-    } else {
-      uint64_t phys = TranslatePhys(ext->second.phys, epoch);
-      AURORA_RETURN_IF_ERROR(LoadExtentSync(ext->second, phys, buf.data()));
-      std::memcpy(dst, buf.data() + in_block, chunk);
-    }
-    pos += chunk;
-    dst += chunk;
-    remaining -= chunk;
-  }
-  if (completion != nullptr) {
-    *completion = std::max(*completion, done);
-  }
-  return Status::Ok();
+  return ReadExtents(*info, epoch, off, out, len, completion);
 }
 
 Result<uint64_t> ObjectStore::SizeAtEpoch(uint64_t epoch, Oid oid) {

@@ -326,16 +326,21 @@ class ObjectStore {
                                               Extent* out, uint64_t* lane_bytes);
   // Device blocks occupied by a stored payload (full store block when raw).
   uint32_t DevBlocksForStored(uint32_t stored_len) const;
-  // Verifies the stored payload against the extent CRC and materializes the
-  // full decoded block into `block` (decompressing when the extent carries a
-  // codec). `stored` may alias `block` for raw extents.
-  [[nodiscard]] Status DecodeStored(const Extent& extent, const uint8_t* stored,
-                                    uint8_t* block);
-  // Read + verify + decode an extent's block, synchronously or on an async
-  // submission queue (completion time returned).
-  [[nodiscard]] Status LoadExtentSync(const Extent& extent, uint64_t phys, uint8_t* block);
-  [[nodiscard]] Result<SimTime> LoadExtentAsync(uint32_t queue, const Extent& extent,
-                                                uint64_t phys, uint8_t* block);
+  // The one load of a committed extent: reads its stored payload from
+  // `phys`, checks it against the extent CRC and decodes the full block into
+  // `block` (decompressing when the extent carries a codec). With
+  // `completion` null the read is synchronous; otherwise it is submitted on
+  // device queue `queue` and its completion is folded into `*completion`.
+  // Every read of data blocks goes through here: ReadAt, ReadAtEpoch and the
+  // read-modify-write reads of WriteAt and WriteAtBatch.
+  [[nodiscard]] Status LoadExtent(const Extent& extent, uint64_t phys, uint8_t* block,
+                                  uint32_t queue, SimTime* completion);
+  // The one logical block walk: copies [off, off + len) of an object whose
+  // extents were recorded by a table of `view_epoch` into `out`, zero-filling
+  // holes. `completion` as for LoadExtent; async reads fan over the flush
+  // lanes.
+  [[nodiscard]] Status ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uint64_t off,
+                                   void* out, uint64_t len, SimTime* completion);
 
   // Segment-log internals (no-ops / errors under kLegacy).
   uint64_t SegmentOf(uint64_t block) const { return block / options_.segment_blocks; }
@@ -383,10 +388,15 @@ class ObjectStore {
   // Historic reads: translate a physical block recorded by a blob of
   // `view_epoch` through the relocation map.
   uint64_t TranslatePhys(uint64_t phys, uint64_t view_epoch) const;
-  // Reads one extent's stored payload and checks it against the recorded
-  // CRC32C; shared by the read paths, the Scrubber and the compactor
-  // (kIoError on device failure, kCorrupt on checksum mismatch). `buf` must
-  // hold a full store block; only the stored span is read and verified.
+  // The one CRC check of payload bytes read from media: the stored span of
+  // `data` (the full block when `stored_len` is 0) against `crc`. kCorrupt,
+  // counted in io.crc_errors, on mismatch.
+  [[nodiscard]] Status VerifyCrc(uint64_t phys, uint32_t crc, uint32_t stored_len,
+                                 const uint8_t* data);
+  // Reads one extent's stored payload undecoded and checks its CRC; shared by
+  // the Scrubber and the compactor (kIoError on device failure, kCorrupt on
+  // checksum mismatch). `buf` must hold a full store block; only the stored
+  // span is read and verified.
   [[nodiscard]] Status ReadBlockVerified(uint64_t phys, uint32_t crc, uint32_t stored_len,
                                          uint8_t* buf);
   void PublishSegmentGauges();
@@ -399,15 +409,21 @@ class ObjectStore {
   [[nodiscard]] Result<SimTime> DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev);
   [[nodiscard]] Status DevWriteSync(uint64_t lba, const void* data, uint32_t ndev);
   [[nodiscard]] Status DevReadSync(uint64_t lba, void* out, uint32_t ndev);
-  // End-to-end integrity: checks a full store block just read against the
-  // CRC recorded when its extent was written. kCorrupt on mismatch.
-  [[nodiscard]] Status VerifyBlockCrc(const Extent& extent, const uint8_t* data);
 
   std::vector<uint8_t> SerializeMeta() const;
   [[nodiscard]] Status DeserializeMeta(const std::vector<uint8_t>& blob);
   [[nodiscard]] Status WriteSuperblock(uint64_t meta_block, uint64_t meta_len, SimTime* done);
   [[nodiscard]] Status RecoverJournalOffsets();
 
+  // The one read of a committed metadata blob (Open, LoadEpochTable and the
+  // Scrubber); its own CRC is checked when DeserializeMeta parses it.
+  [[nodiscard]] Result<std::vector<uint8_t>> ReadMetaBlob(uint64_t meta_block, uint64_t meta_len);
+  // A committed epoch's object table, read from media on every call: the
+  // device's error when the blob cannot be read, kCorrupt when it does not
+  // parse.
+  [[nodiscard]] Result<std::unordered_map<Oid, ObjectInfo>> ReadEpochTable(
+      const CheckpointRecord& record);
+  // ReadEpochTable through epoch_cache_, then the object's entry.
   [[nodiscard]] Result<const ObjectInfo*> LoadEpochTable(uint64_t epoch, Oid oid);
 
   // Picks the submission queue for the next flush-path store block and

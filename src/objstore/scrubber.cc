@@ -1,41 +1,29 @@
 #include "src/objstore/scrubber.h"
 
-#include <cstring>
-
-#include "src/base/checksum.h"
-
 namespace aurora {
 
-ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
-                                        uint64_t meta_block, uint64_t meta_len,
+ScrubEpochVerdict Scrubber::ScrubRecord(const ObjectStore::CheckpointRecord& record,
                                         ScrubReport* report) {
   ScrubEpochVerdict verdict;
-  verdict.epoch = epoch;
-  verdict.name = name;
+  verdict.epoch = record.epoch;
+  verdict.name = record.name;
 
   ObjectStore* s = store_;
-  const uint32_t bs = s->options_.block_size;
-  uint64_t nblocks = (meta_len + bs - 1) / bs;
-  std::vector<uint8_t> raw(nblocks * bs);
-  if (!s->DevReadSync(s->DevLba(meta_block), raw.data(),
-                      static_cast<uint32_t>(nblocks * s->DevBlocksPerStoreBlock()))
-           .ok()) {
+  // Uncached: a healthy cached table must never mask on-media damage. The
+  // blob's own CRC catches metadata corruption.
+  auto table = s->ReadEpochTable(record);
+  if (!table.ok()) {
     verdict.meta_ok = false;
-    verdict.io_errors++;
-    return verdict;
-  }
-  std::vector<uint8_t> blob(raw.begin(), raw.begin() + static_cast<long>(meta_len));
-  // Parse into a scratch store so the live table is untouched; the blob's own
-  // CRC catches metadata corruption.
-  ObjectStore scratch(s->device_, s->sim_, s->options_);
-  if (!scratch.DeserializeMeta(blob).ok()) {
-    verdict.meta_ok = false;
-    verdict.crc_errors++;
+    if (table.status().code() == Errc::kCorrupt) {
+      verdict.crc_errors++;
+    } else {
+      verdict.io_errors++;
+    }
     return verdict;
   }
 
-  std::vector<uint8_t> buf(bs);
-  for (const auto& [oid, info] : scratch.objects_) {
+  std::vector<uint8_t> buf(s->options_.block_size);
+  for (const auto& [oid, info] : *table) {
     if (info.non_cow) {
       continue;  // journal records carry their own CRCs, verified at replay
     }
@@ -44,7 +32,7 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
       // Blocks the compactor moved after this epoch committed live at their
       // relocated address now; the LIVE store's relocation map knows, the
       // historic blob does not.
-      uint64_t phys = s->TranslatePhys(extent.phys, epoch);
+      uint64_t phys = s->TranslatePhys(extent.phys, record.epoch);
       if (report != nullptr) {
         report->data_phys.insert(phys);
       }
@@ -60,7 +48,7 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
         continue;
       }
       if (report != nullptr) {
-        report->bad_blocks.push_back(ScrubBadBlock{epoch, oid, logical, phys, error});
+        report->bad_blocks.push_back(ScrubBadBlock{record.epoch, oid, logical, phys, error});
       }
     }
   }
@@ -76,8 +64,7 @@ Result<ScrubReport> Scrubber::ScrubAll() {
   ScrubReport report;
   store_->sim_->metrics.counter("scrub.runs").Add();
   for (const ObjectStore::CheckpointRecord& record : store_->checkpoints_) {
-    report.epochs.push_back(
-        ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, &report));
+    report.epochs.push_back(ScrubRecord(record, &report));
   }
   return report;
 }
@@ -85,7 +72,7 @@ Result<ScrubReport> Scrubber::ScrubAll() {
 Result<ScrubEpochVerdict> Scrubber::ScrubEpoch(uint64_t epoch) {
   for (const ObjectStore::CheckpointRecord& record : store_->checkpoints_) {
     if (record.epoch == epoch) {
-      return ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, nullptr);
+      return ScrubRecord(record, nullptr);
     }
   }
   return Status::Error(Errc::kNotFound, "no such checkpoint");

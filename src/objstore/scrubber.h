@@ -71,8 +71,8 @@ class Scrubber {
   [[nodiscard]] Result<ScrubEpochVerdict> ScrubEpoch(uint64_t epoch);
 
  private:
-  ScrubEpochVerdict ScrubRecord(uint64_t epoch, const std::string& name, uint64_t meta_block,
-                                uint64_t meta_len, ScrubReport* report);
+  ScrubEpochVerdict ScrubRecord(const ObjectStore::CheckpointRecord& record,
+                                ScrubReport* report);
 
   ObjectStore* store_;
 };

@@ -89,9 +89,9 @@ uint64_t RebindEntries(VmObject* old_top, const std::shared_ptr<VmObject>& new_t
 // (counted, so the savings are observable) unless the legacy full-sweep
 // behavior was requested.
 void ChargeShootdowns(const std::vector<VmMap*>& maps, const std::vector<uint64_t>& per_map,
-                      const ShadowOptions& options, SimContext* sim, SystemShadowStats* stats) {
+                      bool full_sweep, SimContext* sim, SystemShadowStats* stats) {
   for (size_t i = 0; i < maps.size(); i++) {
-    if (options.elide_shootdowns && per_map[i] == 0) {
+    if (!full_sweep && per_map[i] == 0) {
       if (stats != nullptr) {
         stats->shootdowns_elided++;
       }
@@ -110,8 +110,7 @@ void ChargeShootdowns(const std::vector<VmMap*>& maps, const std::vector<uint64_
 
 std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, SimContext* sim,
                                             const ShadowRebindFn& rebind,
-                                            SystemShadowStats* stats,
-                                            const ShadowOptions& options) {
+                                            SystemShadowStats* stats, bool full_sweep) {
   // Pass 1: collect the distinct writable top objects across the group in
   // discovery order (map, then ascending start address). The dedup set makes
   // each object shadowed exactly once no matter how many processes or
@@ -122,7 +121,7 @@ std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, Sim
   for (VmMap* map : maps) {
     for (auto& [start, entry] : map->entries()) {
       if (ShouldShadow(entry) && seen.insert(entry.object.get()).second) {
-        if (options.skip_clean && !NeedsShadow(entry.object.get())) {
+        if (!full_sweep && !NeedsShadow(entry.object.get())) {
           // Clean top: its store object already holds exactly this content
           // (or the region was never written and restores as zero fill).
           if (stats != nullptr) {
@@ -158,13 +157,13 @@ std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, Sim
     pairs.push_back(ShadowPair{top, shadow});
   }
 
-  ChargeShootdowns(maps, per_map, options, sim, stats);
+  ChargeShootdowns(maps, per_map, full_sweep, sim, stats);
   return pairs;
 }
 
 ShadowPair ShadowOneObject(std::shared_ptr<VmObject> top, const std::vector<VmMap*>& maps,
                            SimContext* sim, const ShadowRebindFn& rebind,
-                           SystemShadowStats* stats, const ShadowOptions& options) {
+                           SystemShadowStats* stats) {
   auto shadow = VmObject::CreateShadow(top);
   shadow->set_sls_oid(top->sls_oid());
   top->Freeze();
@@ -180,7 +179,7 @@ ShadowPair ShadowOneObject(std::shared_ptr<VmObject> top, const std::vector<VmMa
   }
   sim->metrics.counter("vm.objects_shadowed").Add();
   sim->metrics.counter("vm.ptes_protected").Add(invalidated);
-  ChargeShootdowns(maps, per_map, options, sim, stats);
+  ChargeShootdowns(maps, per_map, /*full_sweep=*/false, sim, stats);
   return ShadowPair{top, shadow};
 }
 

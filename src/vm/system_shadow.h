@@ -41,22 +41,6 @@ struct SystemShadowStats {
   uint64_t shootdowns_elided = 0;  // address spaces with zero rebound PTEs
 };
 
-// Knobs for the incremental stop path. The defaults are Aurora's behavior:
-// stop-time work scales with dirtied state. The full-sweep legacy engine
-// (both false-equivalents) stays available for the stop-path ablation.
-struct ShadowOptions {
-  // Leave unfrozen tops with zero dirtied pages as the live top instead of
-  // shadowing them: their store object already equals their content, so a
-  // fresh shadow would only add an empty chain link and PTE/IPI work.
-  // Restored tops (frozen or pager-backed) are always shadowed.
-  bool skip_clean = true;
-  // Charge/count one TLB shootdown only for address spaces where at least
-  // one PTE was actually write-protected; untouched pmaps have no stale
-  // translations to invalidate. When false, every map in the group pays one
-  // IPI round per shadow pass (the pre-incremental behavior).
-  bool elide_shootdowns = true;
-};
-
 // Called when an object that external descriptors reference (POSIX/SysV
 // shared memory) is replaced by its new shadow, so the descriptor's backmap
 // can be updated and future mappings use the latest shadow.
@@ -64,13 +48,19 @@ using ShadowRebindFn = std::function<void(VmObject* old_top, std::shared_ptr<VmO
 
 // Shadows every writable, non-excluded anonymous top object reachable from
 // `maps`, charging shadow allocation, PTE and TLB costs. Returns the frozen
-// tops paired with their live shadows. With the default options, tops that
-// took no writes since the previous epoch are skipped and fully-clean
-// address spaces pay no shootdown.
+// tops paired with their live shadows. By default the stop-time work scales
+// with dirtied state (Aurora's behavior):
+//   * unfrozen tops with zero dirtied pages stay the live top: their store
+//     object already equals their content, so a fresh shadow would only add
+//     an empty chain link and PTE/IPI work (restored tops, frozen or
+//     pager-backed, are always shadowed);
+//   * only address spaces where a PTE was actually write-protected pay a
+//     TLB shootdown; untouched pmaps have no stale translations.
+// `full_sweep` is the pre-incremental engine kept for the stop-path
+// ablation: every top is shadowed and every map pays one IPI round.
 std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, SimContext* sim,
                                             const ShadowRebindFn& rebind,
-                                            SystemShadowStats* stats,
-                                            const ShadowOptions& options = {});
+                                            SystemShadowStats* stats, bool full_sweep = false);
 
 // Shadows a single object (the sls_memckpt atomic-region API). References in
 // `maps` are repointed just like the group-wide operation. `top` is taken by
@@ -80,8 +70,7 @@ std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, Sim
 // snapshot explicitly); shootdown accounting matches the batched path.
 ShadowPair ShadowOneObject(std::shared_ptr<VmObject> top, const std::vector<VmMap*>& maps,
                            SimContext* sim, const ShadowRebindFn& rebind,
-                           SystemShadowStats* stats = nullptr,
-                           const ShadowOptions& options = {});
+                           SystemShadowStats* stats = nullptr);
 
 // After `pair.frozen` has been flushed to storage, eagerly merge it into its
 // parent to keep chains short. Merging happens only when the parent is

@@ -15,9 +15,9 @@ namespace aurora {
 namespace {
 
 struct Machine {
-  explicit Machine(uint64_t store_bytes = 1 * kGiB) {
+  explicit Machine(uint64_t store_bytes = 1 * kGiB, StoreOptions options = StoreOptions()) {
     device = MakePaperTestbedStore(&sim.clock, store_bytes);
-    store = *ObjectStore::Format(device.get(), &sim);
+    store = *ObjectStore::Format(device.get(), &sim, options);
     fs = std::make_unique<AuroraFs>(&sim, store.get());
     kernel = std::make_unique<Kernel>(&sim);
     sls = std::make_unique<Sls>(&sim, kernel.get(), store.get(), fs.get());
@@ -287,9 +287,10 @@ TEST(SlsManifest, PeekAndMemoryListing) {
   ASSERT_TRUE(m.sls->Attach(g, proc).ok());
   auto ckpt = *m.sls->Checkpoint(g);
   auto found = *m.sls->FindManifest("peek", ckpt.epoch);
-  std::vector<uint8_t> manifest(*m.store->SizeAtEpoch(found.first, found.second));
+  std::vector<uint8_t> manifest(*m.store->SizeAtEpoch(found.epoch, found.oid));
   ASSERT_TRUE(
-      m.store->ReadAtEpoch(found.first, found.second, 0, manifest.data(), manifest.size()).ok());
+      m.store->ReadAtEpoch(found.epoch, found.oid, 0, manifest.data(), manifest.size()).ok());
+  EXPECT_EQ(manifest, found.blob);
   auto head = *PeekManifest(manifest);
   EXPECT_EQ(head.name, "peek");
   EXPECT_EQ(head.epoch, ckpt.epoch);
@@ -297,6 +298,38 @@ TEST(SlsManifest, PeekAndMemoryListing) {
   ASSERT_FALSE(memory.empty());
   EXPECT_EQ(memory[0].second % kPageSize, 0u);
   EXPECT_FALSE(m.sls->FindManifest("nope", 0).ok());
+}
+
+TEST(SlsManifest, StoreLookupReadsTheManifestOnce) {
+  // Raw store: every extent read moves one whole store block, so the
+  // expected device traffic is exact.
+  StoreOptions raw;
+  raw.dedup = false;
+  raw.codec = CodecId::kRaw;
+  Machine m(1 * kGiB, raw);
+  Process* proc = *m.kernel->CreateProcess("once");
+  auto obj = VmObject::CreateAnonymous(128 * kKiB);
+  AURORA_IGNORE_STATUS(proc->vm().Map(0x400000, 128 * kKiB, kProtRead | kProtWrite, obj, 0, false), "mapping exists only to add payload; the address is unused");
+  ConsistencyGroup* g = *m.sls->CreateGroup("once");
+  ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+  auto ckpt = *m.sls->Checkpoint(g);
+  // Warm the epoch table so the lookup's only device reads are manifest
+  // blocks.
+  ASSERT_TRUE(m.store->ObjectsAtEpoch(ckpt.epoch).ok());
+  uint64_t before = m.device->stats().bytes_read;
+  auto loaded = m.sls->store_backend()->LoadManifest("once", ckpt.epoch);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_FALSE(loaded->blob.empty());
+  // The scan also reads the file-system namespace blob, which is typed
+  // kManifest as well and precedes the group manifest in oid order. Each
+  // candidate is read exactly once: the header check and the returned blob
+  // share one read.
+  RestoredGroup head = *PeekManifest(loaded->blob);
+  ASSERT_LT(head.namespace_oid, loaded->oid);
+  uint64_t bs = m.store->block_size();
+  uint64_t ns_size = *m.store->SizeAtEpoch(ckpt.epoch, head.namespace_oid);
+  uint64_t blocks = (loaded->blob.size() + bs - 1) / bs + (ns_size + bs - 1) / bs;
+  EXPECT_EQ(m.device->stats().bytes_read - before, blocks * bs);
 }
 
 TEST(SlsSysV, SegmentsSurviveRestoreWithIdsAndSharing) {

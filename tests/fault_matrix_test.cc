@@ -18,6 +18,8 @@
 //    successful checkpoint.
 //  - The scrubber finds every injected flip that lands in a committed data
 //    block, with no false positives.
+//  - Damaged metadata fails only its own epoch's scrub verdict: a flipped
+//    blob counts as a CRC error, an unreadable one as an io error.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -371,6 +373,64 @@ TEST(FaultMatrix, ScrubDetectsEveryCommittedFlip) {
   EXPECT_TRUE(clean_report->clean());
   EXPECT_TRUE(clean_report->bad_blocks.empty());
   EXPECT_EQ(clean_report->epochs.size(), clean_store->ListCheckpoints().size());
+}
+
+// Metadata damage: a rule armed over every LBA past the superblock ring for
+// exactly one commit damages only that epoch's metadata blob (the commit
+// writes nothing else there), and the scrub's verdict must name it — a CRC
+// error for a flipped bit, an io error for a latent sector — while every
+// other epoch scrubs clean. The injector stays attached through the scrub so
+// latent marks persist; nothing is written after the armed commit.
+void ExpectOnlyLastEpochMetaDamaged(const FaultRule& rule) {
+  const bool flip = rule.bit_flip_rate > 0;
+  SimContext sim;
+  MemBlockDevice device(&sim.clock, kDeviceBlocks);
+  device.set_metrics(&sim.metrics);
+  auto store = *ObjectStore::Format(&device, &sim);
+  Workload workload;
+  ASSERT_TRUE(workload.Run(store.get()).ok());
+  // 160 extents put the table past one device block, so the blob fills the
+  // first block of its run: the flip the rule puts in every written block
+  // is certain to land inside the blob there, not only in its padding.
+  Oid obj3 = *store->CreateObject(ObjType::kMemory);
+  ASSERT_TRUE(WriteBlocks(store.get(), obj3, 160, 3).ok());
+
+  FaultRule armed = rule;
+  armed.lba_min = store->block_size() / device.block_size();  // past the ring
+  device.InstallFaults(0x3E7A, {armed});
+  auto committed = store->CommitCheckpoint("c3");
+  ASSERT_TRUE(committed.ok()) << committed.status().message();
+  const FaultStats& faults = device.fault_injector()->stats();
+  ASSERT_GE(flip ? faults.bit_flips : faults.latent_marks, 1u) << "the rule never fired";
+  uint64_t damaged = store->ListCheckpoints().back().epoch;
+
+  Scrubber scrubber(store.get());
+  auto report = scrubber.ScrubAll();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->epochs.size(), store->ListCheckpoints().size());
+  for (const ScrubEpochVerdict& verdict : report->epochs) {
+    if (verdict.epoch != damaged) {
+      EXPECT_TRUE(verdict.clean()) << "epoch " << verdict.epoch << " (" << verdict.name << ")";
+      continue;
+    }
+    EXPECT_FALSE(verdict.meta_ok);
+    EXPECT_EQ(verdict.crc_errors, flip ? 1u : 0u);
+    EXPECT_EQ(verdict.io_errors, flip ? 0u : 1u);
+    EXPECT_EQ(verdict.blocks_scanned, 0u);
+  }
+  EXPECT_FALSE(report->clean());
+  EXPECT_TRUE(report->bad_blocks.empty()) << "no data block was damaged";
+  auto single = scrubber.ScrubEpoch(damaged);
+  ASSERT_TRUE(single.ok());
+  EXPECT_FALSE(single->meta_ok);
+}
+
+TEST(FaultMatrix, ScrubFlagsFlippedMetadataAsCrcError) {
+  ExpectOnlyLastEpochMetaDamaged(RateRule(0.0, 0.0, /*flip_rate=*/1.0));
+}
+
+TEST(FaultMatrix, ScrubFlagsUnreadableMetadataAsIoError) {
+  ExpectOnlyLastEpochMetaDamaged(RateRule(0.0, 0.0, 0.0, /*latent_rate=*/1.0));
 }
 
 // SLS machine with a raw MemBlockDevice so faults can be armed precisely.
