@@ -83,7 +83,7 @@ void BM_SerializeOsState(benchmark::State& state) {
   };
   for (auto _ : state) {
     SerializeStats stats;
-    auto blob = SerializeOsState(&m.sim, *group, 1, kInvalidOid, ensure, &stats);
+    auto blob = SerializeOsState(&m.sim, *group, 1, {}, ensure, &stats);
     benchmark::DoNotOptimize(blob.ok());
   }
 }

@@ -39,7 +39,7 @@ Measurement MeasureDelta(const std::function<void(BenchMachine&, Process*)>& ins
       return Oid{obj->sls_oid()};
     };
     SimStopwatch ser(m.sim.clock);
-    auto manifest = SerializeOsState(&m.sim, *group, 1, kInvalidOid, ensure, &stats);
+    auto manifest = SerializeOsState(&m.sim, *group, 1, {}, ensure, &stats);
     double ckpt_us = ToMicros(ser.Elapsed());
 
     // Restore timing: recreate the objects from the manifest.

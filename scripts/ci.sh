@@ -144,13 +144,15 @@ done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
 # matrix can cover the lint engine, the crash/restore paths, the wire
-# format's byte decoders and the store's one read-verify-decode path over
-# media bytes (clean, faulted, relocated and deduplicated) directly.
+# format's byte decoders, the store's one read-verify-decode path over
+# media bytes (clean, faulted, relocated and deduplicated) and the manifest's
+# namespace-table decoder (fuzzed, damaged, and round-tripped across reboots)
+# directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
 ubsan_tests=(lint_test crash_matrix_test wire_format_fuzz_test replication_test
              backend_conformance_test objstore_test fault_matrix_test segment_gc_test
-             dedup_test)
+             dedup_test integration_test restore_fault_test fs_test core_more_test)
 cmake --build --preset ubsan -j "${jobs}" --target "${ubsan_tests[@]}"
 for t in "${ubsan_tests[@]}"; do
   "build-ubsan/tests/${t}" >/dev/null

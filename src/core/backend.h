@@ -74,17 +74,16 @@ class CheckpointBackend {
   virtual uint64_t current_epoch() const = 0;
   // Names a new memory-region object in this backend's namespace.
   [[nodiscard]] virtual Result<Oid> CreateMemoryObject(uint64_t size_hint) = 0;
-  // Persists the file-system namespace; backends without a filesystem return
-  // kInvalidOid and the manifest simply records no namespace.
-  [[nodiscard]] virtual Result<Oid> PersistNamespace() = 0;
+  // The file system checkpointed with the application: its namespace table
+  // rides every full checkpoint's manifest and its dirty data flushes with
+  // the epoch (checkpoint consistency makes fsync a no-op). Null for
+  // backends without files, whose manifests carry an empty table.
+  virtual AuroraFs* files() { return nullptr; }
   // Ships every resident page of `obj` to the object named `oid`, returning
   // the simulated time the pages are durable at the destination. Adds the
   // pages and bytes shipped to *pages and *bytes.
   [[nodiscard]] virtual Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                          uint64_t* bytes) = 0;
-  // Flushes file data dirtied since the last checkpoint (checkpoint
-  // consistency makes fsync a no-op); no-op for backends without files.
-  [[nodiscard]] virtual Result<SimTime> FlushFilesystem() = 0;
 
   struct CommitInfo {
     uint64_t epoch = 0;     // epoch this checkpoint committed as
@@ -107,8 +106,6 @@ class CheckpointBackend {
   // Finds and reads the manifest for `group_name` at `epoch` (0 = newest).
   [[nodiscard]] virtual Result<LoadedManifest> LoadManifest(const std::string& group_name,
                                                             uint64_t epoch) = 0;
-  // Rolls the file-system namespace back to the checkpointed one.
-  [[nodiscard]] virtual Status RestoreNamespace(uint64_t epoch, Oid ns_oid) = 0;
 
   // --- Page source: the only per-backend restore code ----------------------
   // Reads page `pgidx` of `oid` as of `epoch` (kLiveEpoch: the newest state)
@@ -163,18 +160,14 @@ class StoreBackend : public CheckpointBackend {
   }
   uint64_t current_epoch() const override { return store_->current_epoch(); }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return fs_->PersistNamespace(); }
+  AuroraFs* files() override { return fs_; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return fs_->FlushAll(); }
   [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                                const std::vector<uint8_t>& manifest,
                                                Oid replaces_manifest) override;
   [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
                                                     uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t epoch, Oid ns_oid) override {
-    return fs_->RestoreNamespace(epoch, ns_oid);
-  }
   bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
   [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
                                     RestoreStream* stream) override;
@@ -221,18 +214,13 @@ class MemoryBackend : public CheckpointBackend {
   const std::string& name() const override { return name_; }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
   [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                                const std::vector<uint8_t>& manifest,
                                                Oid replaces_manifest) override;
   [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
                                                     uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "memory backend holds no namespace");
-  }
   // Pages are read from the one image each oid has, whatever `epoch` says:
   // LoadManifest refuses every epoch but a group's newest (see FindImage).
   bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
@@ -538,18 +526,13 @@ class ReplicaBackend : public CheckpointBackend {
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
     return standby_->CreateMemoryObject(size_hint);
   }
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
   [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                                const std::vector<uint8_t>& manifest,
                                                Oid replaces_manifest) override;
   [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
                                                     uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "replica backend holds no namespace");
-  }
   // Remote paging: one synchronous round trip per fault.
   bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
   [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,

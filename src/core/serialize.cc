@@ -11,7 +11,7 @@ namespace aurora {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x414d414e;  // "AMAN"
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 
 // Field-chase counts per object type: gathering one POSIX object is one
 // lock plus pointer chasing through cold kernel structures (paper 9.2).
@@ -383,7 +383,8 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
 }  // namespace
 
 Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const ConsistencyGroup& group,
-                                              uint64_t epoch, Oid namespace_oid,
+                                              uint64_t epoch,
+                                              std::span<const uint8_t> namespace_table,
                                               const EnsureOidFn& ensure_oid,
                                               SerializeStats* stats, SerializeMode mode,
                                               SerializeCache* cache) {
@@ -392,7 +393,7 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   w.PutU32(kManifestVersion);
   w.PutString(group.name());
   w.PutU64(epoch);
-  w.PutU64(namespace_oid.value);
+  w.PutBytes(namespace_table.data(), namespace_table.size());
 
   if (cache == nullptr) {
     mode = SerializeMode::kLegacy;  // nothing to warm or assemble from
@@ -526,7 +527,7 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
 
 namespace {
 // The one manifest-header reader: magic, version, group name, epoch and
-// namespace oid, leaving `r` at the memory-object section.
+// namespace table, leaving `r` at the memory-object section.
 Result<RestoredGroup> ReadManifestHeader(BinaryReader* r) {
   AURORA_ASSIGN_OR_RETURN(uint32_t magic, r->U32());
   AURORA_ASSIGN_OR_RETURN(uint32_t version, r->U32());
@@ -536,7 +537,7 @@ Result<RestoredGroup> ReadManifestHeader(BinaryReader* r) {
   RestoredGroup out;
   AURORA_ASSIGN_OR_RETURN(out.name, r->String());
   AURORA_ASSIGN_OR_RETURN(out.epoch, r->U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r->U64());
+  AURORA_ASSIGN_OR_RETURN(out.namespace_table, r->Bytes());
   return out;
 }
 }  // namespace
@@ -552,7 +553,6 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> ManifestMemoryObjects(
   AURORA_RETURN_IF_ERROR(ReadManifestHeader(&r).status());
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(count);
   for (uint64_t i = 0; i < count; i++) {
     AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
     AURORA_ASSIGN_OR_RETURN(uint64_t size, r.U64());
@@ -953,9 +953,11 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
         top = kernel->vdso();
       } else {
         AURORA_ASSIGN_OR_RETURN(uint64_t chain_len, r.U64());
-        std::vector<uint64_t> chain(chain_len);
+        // Grown per link read: a damaged count fails instead of allocating.
+        std::vector<uint64_t> chain;
         for (uint64_t c = 0; c < chain_len; c++) {
-          AURORA_ASSIGN_OR_RETURN(chain[c], r.U64());
+          AURORA_ASSIGN_OR_RETURN(uint64_t link, r.U64());
+          chain.push_back(link);
         }
         AURORA_ASSIGN_OR_RETURN(uint64_t vnode_ino, r.U64());
         std::shared_ptr<VmObject> below;  // built bottom-up

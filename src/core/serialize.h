@@ -7,6 +7,11 @@
 // once, keyed by its kernel identity. Memory pages are flushed separately
 // into per-region store objects; the manifest records each mapping's shadow
 // chain as a list of store OIDs.
+//
+// Header layout (version 2): u32 magic "AMAN", u32 version, bytes group
+// name, u64 epoch, bytes namespace table (AuroraFs::EncodeNamespace; empty
+// when the checkpoint records no namespace). The memory-object section
+// follows: u64 count, count x (u64 oid, u64 size).
 #ifndef SRC_CORE_SERIALIZE_H_
 #define SRC_CORE_SERIALIZE_H_
 
@@ -14,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,8 +94,8 @@ struct SerializeCache {
 // `cache` select the incremental charging scheme described above; the
 // default reproduces the legacy single-pass cost exactly.
 [[nodiscard]] Result<std::vector<uint8_t>> SerializeOsState(
-    SimContext* sim, const ConsistencyGroup& group, uint64_t epoch, Oid namespace_oid,
-    const EnsureOidFn& ensure_oid, SerializeStats* stats,
+    SimContext* sim, const ConsistencyGroup& group, uint64_t epoch,
+    std::span<const uint8_t> namespace_table, const EnsureOidFn& ensure_oid, SerializeStats* stats,
     SerializeMode mode = SerializeMode::kLegacy, SerializeCache* cache = nullptr);
 
 // Resolves a memory OID to a VM object during restore. `chain_complete`
@@ -104,7 +110,7 @@ using MemoryResolverFn = std::function<Result<ResolvedMemory>(Oid oid, uint64_t 
 struct RestoredGroup {
   std::string name;
   uint64_t epoch = 0;
-  Oid namespace_oid;
+  std::vector<uint8_t> namespace_table;  // for AuroraFs::RestoreNamespace
   std::vector<Process*> processes;
 };
 
@@ -115,7 +121,7 @@ struct RestoredGroup {
                                                    const std::vector<uint8_t>& manifest,
                                                    const MemoryResolverFn& resolve);
 
-// Reads just the header (group name + epoch) of a manifest blob.
+// Reads just the header (name, epoch, namespace table) of a manifest blob.
 [[nodiscard]] Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest);
 
 // Lists the (oid, size) pairs of the manifest's memory-object section

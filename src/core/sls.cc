@@ -263,8 +263,8 @@ void Sls::CkptPreSerialize(CheckpointContext* ctx) {
   // Warm the serialization cache while the application still runs: every
   // entity serialized at fresh cost here is a cheap block copy inside the
   // stopped window. The manifest built here is discarded (its header names
-  // an epoch and namespace OID that do not exist yet); only the cache
-  // survives into CkptSerialize.
+  // an epoch not yet sealed and no namespace table); only the cache survives
+  // into CkptSerialize.
   if (ctx->group->legacy_stop_path) {
     return;
   }
@@ -273,8 +273,8 @@ void Sls::CkptPreSerialize(CheckpointContext* ctx) {
   cache.pass++;
   auto ensure = [this, ctx](VmObject* obj) { return EnsureMemoryOid(ctx->backend, obj); };
   Result<std::vector<uint8_t>> warm =
-      SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(), kInvalidOid, ensure,
-                       nullptr, SerializeMode::kWarmCache, &cache);
+      SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(), {}, ensure, nullptr,
+                       SerializeMode::kWarmCache, &cache);
   if (!warm.ok()) {
     // Not fatal: the in-window pass simply runs against a colder cache.
     sim_->metrics.counter("ckpt.preserialize_failures").Add(1);
@@ -294,13 +294,13 @@ void Sls::CkptQuiesce(CheckpointContext* ctx) {
 }
 
 Status Sls::CkptSerialize(CheckpointContext* ctx) {
-  // Persist the file system namespace, then serialize the POSIX object
-  // graph exactly once per object.
+  // Serialize the POSIX object graph exactly once per object; a full
+  // checkpoint's manifest also carries the file system's namespace table.
   size_t serialize_span = sim_->tracer.Begin("ckpt.serialize");
   SimStopwatch serialize_watch(sim_->clock);
-  Oid ns_oid = kInvalidOid;
-  if (ctx->mode == CheckpointMode::kFull) {
-    AURORA_ASSIGN_OR_RETURN(ns_oid, ctx->backend->PersistNamespace());
+  std::vector<uint8_t> namespace_table;
+  if (AuroraFs* fs = ctx->backend->files(); fs != nullptr && ctx->mode == CheckpointMode::kFull) {
+    AURORA_ASSIGN_OR_RETURN(namespace_table, fs->EncodeNamespace());
   }
   auto ensure = [this, ctx](VmObject* obj) { return EnsureMemoryOid(ctx->backend, obj); };
   // In-window pass: assemble from the blobs CkptPreSerialize warmed; only
@@ -312,7 +312,8 @@ Status Sls::CkptSerialize(CheckpointContext* ctx) {
       ctx->group->legacy_stop_path ? nullptr : &serialize_caches_[ctx->group];
   AURORA_ASSIGN_OR_RETURN(ctx->manifest,
                           SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(),
-                                           ns_oid, ensure, &ctx->result.os_state, mode, cache));
+                                           namespace_table, ensure, &ctx->result.os_state, mode,
+                                           cache));
   if (cache != nullptr) {
     cache->Prune();
   }
@@ -395,7 +396,10 @@ Status Sls::CkptAsyncFlush(CheckpointContext* ctx) {
 
   // File system dirty data obeys checkpoint consistency: it flushes with the
   // checkpoint, which is why fsync can be a no-op.
-  AURORA_ASSIGN_OR_RETURN(SimTime fs_done, ctx->backend->FlushFilesystem());
+  SimTime fs_done = sim_->clock.now();
+  if (AuroraFs* fs = ctx->backend->files(); fs != nullptr) {
+    AURORA_ASSIGN_OR_RETURN(fs_done, fs->FlushAll());
+  }
   ctx->durable = std::max(ctx->durable, fs_done);
   // The flush phase ends when its last asynchronous write lands, which is in
   // the simulated future relative to now (the application already resumed).
@@ -768,15 +772,12 @@ void Sls::RestoreTeardownOld(RestoreContext* ctx) {
 
 Status Sls::RestoreNamespaceStage(RestoreContext* ctx) {
   // Namespace first so vnode lookups by inode succeed.
-  if (ctx->mode == RestoreMode::kFromMemory) {
+  AuroraFs* fs = ctx->backend->files();
+  if (ctx->mode == RestoreMode::kFromMemory || fs == nullptr) {
     return Status::Ok();
   }
-  auto head = PeekManifest(ctx->manifest);
-  if (head.ok() && head->namespace_oid.valid()) {
-    AURORA_RETURN_IF_ERROR(
-        ctx->backend->RestoreNamespace(ctx->manifest_epoch, head->namespace_oid));
-  }
-  return Status::Ok();
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(ctx->manifest));
+  return fs->RestoreNamespace(head.namespace_table);
 }
 
 Status Sls::RestoreMaterialize(RestoreContext* ctx) {

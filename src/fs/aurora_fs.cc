@@ -1,6 +1,8 @@
 #include "src/fs/aurora_fs.h"
 
 #include <cstdio>
+#include <tuple>
+#include <utility>
 
 #include "src/base/serializer.h"
 
@@ -62,37 +64,36 @@ void AuroraFs::ReleaseBacking(Vnode* vn) {
   }
 }
 
-Result<Oid> AuroraFs::PersistNamespace() {
+Result<std::vector<uint8_t>> AuroraFs::EncodeNamespace() {
+  std::vector<std::string> paths = List();
   BinaryWriter w;
-  auto paths = List();
   w.PutU64(paths.size());
   for (const auto& path : paths) {
-    auto vn = Lookup(path);
-    if (!vn.ok()) {
-      continue;
-    }
+    AURORA_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> vn, Lookup(path));
     w.PutString(path);
-    w.PutU64((*vn)->ino());
-    w.PutU64((*vn)->size());
+    w.PutU64(vn->ino());
+    w.PutU64(vn->size());
   }
-  AURORA_ASSIGN_OR_RETURN(Oid ns, store_->CreateObject(ObjType::kManifest));
-  AURORA_ASSIGN_OR_RETURN(SimTime done, store_->WriteAt(ns, 0, w.data().data(), w.size()));
-  // The durability time folds into the covering checkpoint's commit; the
-  // namespace blob rides the same epoch as the commit record that names it.
-  (void)done;
-  return ns;
+  return w.Take();
 }
 
-Status AuroraFs::RestoreNamespace(uint64_t epoch, Oid ns_oid) {
-  AURORA_ASSIGN_OR_RETURN(uint64_t len, store_->SizeAtEpoch(epoch, ns_oid));
-  std::vector<uint8_t> blob(len);
-  AURORA_RETURN_IF_ERROR(store_->ReadAtEpoch(epoch, ns_oid, 0, blob.data(), len));
-  BinaryReader r(blob);
+Status AuroraFs::RestoreNamespace(std::span<const uint8_t> table) {
+  if (table.empty()) {
+    return Status::Ok();
+  }
+  BinaryReader r(table.data(), table.size());
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
+  std::vector<std::tuple<std::string, uint64_t, uint64_t>> entries;  // path, ino, size
   for (uint64_t i = 0; i < count; i++) {
     AURORA_ASSIGN_OR_RETURN(std::string path, r.String());
     AURORA_ASSIGN_OR_RETURN(uint64_t ino, r.U64());
     AURORA_ASSIGN_OR_RETURN(uint64_t size, r.U64());
+    entries.emplace_back(std::move(path), ino, size);
+  }
+  if (!r.AtEnd()) {
+    return Status::Error(Errc::kCorrupt, "trailing bytes after namespace table");
+  }
+  for (const auto& [path, ino, size] : entries) {
     if (Lookup(path).ok()) {
       continue;  // already present
     }

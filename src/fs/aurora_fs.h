@@ -9,7 +9,9 @@
 #define SRC_FS_AURORA_FS_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/fs/buffered_fs.h"
 #include "src/objstore/object_store.h"
@@ -26,10 +28,12 @@ class AuroraFs : public BufferedFs {
   ObjectStore* store() { return store_; }
   static Oid OidOf(const Vnode* vn) { return Oid{vn->ino()}; }
 
-  // Serializes the name table into a store object so restores recover the
-  // namespace; called by the orchestrator during checkpoint flush.
-  [[nodiscard]] Result<Oid> PersistNamespace();
-  [[nodiscard]] Status RestoreNamespace(uint64_t epoch, Oid ns_oid);
+  // The name table each full checkpoint's manifest carries: u64 count, then
+  // per file its path, inode and size.
+  [[nodiscard]] Result<std::vector<uint8_t>> EncodeNamespace();
+  // Creates every file `table` names that is missing. A damaged table fails
+  // kCorrupt before any file is created; an empty one records no namespace.
+  [[nodiscard]] Status RestoreNamespace(std::span<const uint8_t> table);
 
  protected:
   uint64_t AllocateIno(const std::string& path) override;

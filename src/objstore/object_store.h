@@ -47,7 +47,7 @@ enum class ObjType : uint8_t {
   kMemory = 2,       // VM object pages
   kFile = 3,         // Aurora file system file data
   kJournal = 4,      // non-COW write-ahead journal
-  kManifest = 5,     // per-checkpoint application manifest
+  kManifest = 5,     // a group's checkpoint manifest (namespace table included)
 };
 
 struct CheckpointInfo {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/base/sim_context.h"
 #include "src/core/cli.h"
@@ -320,16 +322,77 @@ TEST(SlsManifest, StoreLookupReadsTheManifestOnce) {
   auto loaded = m.sls->store_backend()->LoadManifest("once", ckpt.epoch);
   ASSERT_TRUE(loaded.ok());
   ASSERT_FALSE(loaded->blob.empty());
-  // The scan also reads the file-system namespace blob, which is typed
-  // kManifest as well and precedes the group manifest in oid order. Each
-  // candidate is read exactly once: the header check and the returned blob
-  // share one read.
-  RestoredGroup head = *PeekManifest(loaded->blob);
-  ASSERT_LT(head.namespace_oid, loaded->oid);
+  // The header check and the returned blob share one read.
   uint64_t bs = m.store->block_size();
-  uint64_t ns_size = *m.store->SizeAtEpoch(ckpt.epoch, head.namespace_oid);
-  uint64_t blocks = (loaded->blob.size() + bs - 1) / bs + (ns_size + bs - 1) / bs;
+  uint64_t blocks = (loaded->blob.size() + bs - 1) / bs;
   EXPECT_EQ(m.device->stats().bytes_read - before, blocks * bs);
+}
+
+TEST(SlsManifest, OneManifestObjectPerGroupAcrossCheckpoints) {
+  // Two groups share one file system, each writing its own named file, and
+  // checkpoint in turn. The namespace table rides each group's manifest, so
+  // the newest epoch holds one manifest object per group however many
+  // checkpoints were taken, and a lookup reads nothing but the manifest.
+  StoreOptions raw;
+  raw.dedup = false;
+  raw.codec = CodecId::kRaw;
+  Machine m(1 * kGiB, raw);
+  struct App {
+    std::string name;
+    std::string path;
+    Process* proc = nullptr;
+    int fd = -1;
+    ConsistencyGroup* group = nullptr;
+    std::string bytes{};  // everything written so far
+  };
+  std::vector<App> apps = {{"alpha", "alpha.db"}, {"beta", "beta.db"}};
+  for (App& app : apps) {
+    app.proc = *m.kernel->CreateProcess(app.name);
+    app.fd = *m.kernel->Open(*app.proc, app.path, kOpenRead | kOpenWrite, true);
+    app.group = *m.sls->CreateGroup(app.name);
+    ASSERT_TRUE(m.sls->Attach(app.group, app.proc).ok());
+  }
+  uint64_t epoch = 0;
+  for (int round = 0; round < 12; round++) {
+    for (App& app : apps) {
+      std::string line = app.name + " round " + std::to_string(round) + "\n";
+      ASSERT_TRUE(m.kernel->WriteFd(*app.proc, app.fd, line.data(), line.size()).ok());
+      app.bytes += line;
+    }
+    for (App& app : apps) {
+      auto ckpt = m.sls->Checkpoint(app.group);
+      ASSERT_TRUE(ckpt.ok()) << ckpt.status().message();
+      epoch = ckpt->epoch;
+    }
+  }
+
+  auto oids = m.store->ObjectsAtEpoch(epoch);  // also warms the epoch table
+  ASSERT_TRUE(oids.ok());
+  int manifests = 0;
+  for (Oid oid : *oids) {
+    manifests += *m.store->TypeAtEpoch(epoch, oid) == ObjType::kManifest ? 1 : 0;
+  }
+  EXPECT_EQ(manifests, 2);
+
+  // alpha checkpoints first in every round, so its manifest has the lower
+  // oid and is the first candidate the lookup reads.
+  uint64_t before = m.device->stats().bytes_read;
+  auto found = m.sls->FindManifest("alpha", 0);
+  ASSERT_TRUE(found.ok());
+  uint64_t bs = m.store->block_size();
+  EXPECT_EQ(m.device->stats().bytes_read - before, (found->blob.size() + bs - 1) / bs * bs);
+
+  m.Reboot();
+  for (const App& app : apps) {
+    auto restored = m.sls->Restore(app.name);
+    ASSERT_TRUE(restored.ok()) << app.name << ": " << restored.status().message();
+    auto vn = m.fs->Lookup(app.path);
+    ASSERT_TRUE(vn.ok()) << app.path;
+    ASSERT_EQ((*vn)->size(), app.bytes.size());
+    std::string back(app.bytes.size(), '\0');
+    ASSERT_TRUE((*vn)->Read(0, back.data(), back.size()).ok());
+    EXPECT_EQ(back, app.bytes);
+  }
 }
 
 TEST(SlsSysV, SegmentsSurviveRestoreWithIdsAndSharing) {

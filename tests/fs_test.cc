@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/base/sim_context.h"
 #include "src/fs/aurora_fs.h"
@@ -114,13 +115,22 @@ TEST_F(AuroraFsTest, NamespacePersistAndRestore) {
   auto b = *fs_->Create("beta");
   ASSERT_TRUE(b->Write(0, "BB", 2).ok());
   ASSERT_TRUE(fs_->FlushAll().ok());
-  auto ns = *fs_->PersistNamespace();
-  uint64_t epoch = store_->current_epoch();
+  std::vector<uint8_t> table = *fs_->EncodeNamespace();
   ASSERT_TRUE(store_->CommitCheckpoint("ns").ok());
 
   auto store2 = *ObjectStore::Open(device_.get(), &sim_);
   AuroraFs fs2(&sim_, store2.get());
-  ASSERT_TRUE(fs2.RestoreNamespace(epoch, ns).ok());
+  // A damaged table (an entry count past its bytes, or trailing bytes) fails
+  // typed and creates nothing.
+  std::vector<uint8_t> damaged = table;
+  damaged[0] = 0xff;
+  EXPECT_EQ(fs2.RestoreNamespace(damaged).code(), Errc::kCorrupt);
+  damaged = table;
+  damaged.push_back(0);
+  EXPECT_EQ(fs2.RestoreNamespace(damaged).code(), Errc::kCorrupt);
+  EXPECT_TRUE(fs2.List().empty());
+
+  ASSERT_TRUE(fs2.RestoreNamespace(table).ok());
   auto ra = fs2.Lookup("alpha");
   ASSERT_TRUE(ra.ok());
   char buf[4];

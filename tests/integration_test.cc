@@ -2,7 +2,9 @@
 // kernel + VM + object store + file system + orchestrator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/sim_context.h"
@@ -76,8 +78,21 @@ TEST_P(CheckpointCrashTest, RestoreIsAlwaysAtomic) {
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, CheckpointCrashTest, ::testing::Range(0, 30));
 
+// A few named files, so the manifest header carries a non-empty namespace
+// table for the fuzzers to damage.
+std::vector<uint8_t> FuzzNamespaceTable(AuroraFs* fs) {
+  for (const char* path : {"etc/motd", "var/db.log", "tmp/x"}) {
+    auto vn = fs->Create(path);
+    EXPECT_TRUE(vn.ok());
+    EXPECT_TRUE((*vn)->Write(0, path, std::strlen(path)).ok());
+  }
+  return *fs->EncodeNamespace();
+}
+
 // Manifest corruption fuzz: flipping any byte of a manifest must never crash
 // the restorer — it either fails cleanly or (for don't-care bytes) restores.
+// The namespace table in the header goes through the target file system's
+// decoder first, as a restore does.
 class ManifestFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ManifestFuzzTest, CorruptManifestFailsCleanly) {
@@ -98,18 +113,33 @@ TEST_P(ManifestFuzzTest, CorruptManifestFailsCleanly) {
     return Oid{o->sls_oid()};
   };
   SerializeStats stats;
-  auto manifest = *SerializeOsState(&m.sim, *group, 1, kInvalidOid, ensure, &stats);
+  auto manifest =
+      *SerializeOsState(&m.sim, *group, 1, FuzzNamespaceTable(m.fs.get()), ensure, &stats);
 
   Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u + 1);
   std::vector<uint8_t> corrupt = manifest;
   for (int flips = 0; flips <= GetParam() % 4; flips++) {
     corrupt[rng.Below(corrupt.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
   }
+  if (GetParam() % 2 == 0) {
+    // Every other case also damages the namespace table itself.
+    const std::vector<uint8_t> table = PeekManifest(manifest)->namespace_table;
+    auto table_at = std::search(manifest.begin(), manifest.end(), table.begin(), table.end()) -
+                    manifest.begin();
+    corrupt[static_cast<size_t>(table_at) + rng.Below(table.size())] ^=
+        static_cast<uint8_t>(1 + rng.Below(255));
+  }
   CrashMachine target;
   auto resolve = [](Oid, uint64_t size) -> Result<ResolvedMemory> {
     return ResolvedMemory{VmObject::CreateAnonymous(size ? size : kPageSize), false};
   };
-  // Must not crash; outcome may be error or success.
+  // Must not crash; outcome may be a typed error or success.
+  auto head = PeekManifest(corrupt);
+  if (head.ok()) {
+    Status ns = target.fs->RestoreNamespace(head->namespace_table);
+    EXPECT_TRUE(ns.ok() || ns.code() == Errc::kCorrupt || ns.code() == Errc::kExists)
+        << ns.message();
+  }
   auto result = RestoreOsState(&target.sim, target.kernel.get(), target.fs.get(), corrupt,
                                resolve);
   (void)result;
@@ -131,7 +161,8 @@ TEST(ManifestFuzz, AllTruncationsFailCleanly) {
     }
     return Oid{o->sls_oid()};
   };
-  auto manifest = *SerializeOsState(&m.sim, *group, 1, kInvalidOid, ensure, nullptr);
+  auto manifest =
+      *SerializeOsState(&m.sim, *group, 1, FuzzNamespaceTable(m.fs.get()), ensure, nullptr);
   auto resolve = [](Oid, uint64_t size) -> Result<ResolvedMemory> {
     return ResolvedMemory{VmObject::CreateAnonymous(size ? size : kPageSize), false};
   };

@@ -3,6 +3,7 @@
 // kernel, and a subsequent clean restore must still work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "src/base/sim_context.h"
 #include "src/core/backend.h"
 #include "src/core/cli.h"
+#include "src/core/serialize.h"
 #include "src/core/sls.h"
 #include "src/fs/aurora_fs.h"
 #include "src/objstore/object_store.h"
@@ -47,12 +49,11 @@ class FailingBackend : public CheckpointBackend {
   Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
     return inner_->CreateMemoryObject(size_hint);
   }
-  Result<Oid> PersistNamespace() override { return inner_->PersistNamespace(); }
+  AuroraFs* files() override { return inner_->files(); }
   Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                    uint64_t* bytes) override {
     return inner_->WriteObjectPages(oid, obj, pages, bytes);
   }
-  Result<SimTime> FlushFilesystem() override { return inner_->FlushFilesystem(); }
   Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                  const std::vector<uint8_t>& manifest,
                                  Oid replaces_manifest) override {
@@ -64,16 +65,21 @@ class FailingBackend : public CheckpointBackend {
       return Status::Error(Errc::kCorrupt, "injected: manifest unreadable");
     }
     AURORA_ASSIGN_OR_RETURN(LoadedManifest loaded, inner_->LoadManifest(group_name, epoch));
+    if (damage_namespace_table) {
+      // An entry count the table's bytes cannot hold: the header still
+      // parses, so the restore fails in its namespace stage, after teardown.
+      AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(loaded.blob));
+      auto table = std::search(loaded.blob.begin(), loaded.blob.end(),
+                               head.namespace_table.begin(), head.namespace_table.end());
+      uint64_t count = head.namespace_table.size() + 1;  // the table's leading u64
+      for (size_t i = 0; i < 8; i++) {
+        table[static_cast<long>(i)] = static_cast<uint8_t>(count >> (8 * i));
+      }
+    }
     if (truncate_manifest_to < loaded.blob.size()) {
       loaded.blob.resize(truncate_manifest_to);
     }
     return loaded;
-  }
-  Status RestoreNamespace(uint64_t epoch, Oid ns_oid) override {
-    if (fail_restore_namespace) {
-      return Status::Error(Errc::kCorrupt, "injected: namespace unreadable");
-    }
-    return inner_->RestoreNamespace(epoch, ns_oid);
   }
   Result<MemoryResolverFn> MakeResolver(uint64_t epoch, RestoreMode mode,
                                         std::shared_ptr<SimTime> stream_done) override {
@@ -96,7 +102,7 @@ class FailingBackend : public CheckpointBackend {
   }
 
   bool fail_load_manifest = false;
-  bool fail_restore_namespace = false;
+  bool damage_namespace_table = false;
   uint64_t truncate_manifest_to = UINT64_MAX;
   uint64_t fail_resolve_at = 0;  // 1-based resolver call index; 0 = never
 
@@ -105,7 +111,7 @@ class FailingBackend : public CheckpointBackend {
   std::string name_ = "failing";
 };
 
-// Two-region app with a named file so the manifest carries a namespace oid,
+// Two-region app with a named file so the manifest carries a namespace table,
 // memory objects and vnode references — every rollback path has something
 // to roll back. Returns the failing backend (owned by the Sls).
 FailingBackend* SetUpCheckpointedApp(Machine& m, uint64_t* addr_out,
@@ -172,12 +178,17 @@ TEST(RestoreFault, FailedNamespaceRestoreLeaksNothing) {
   std::vector<uint8_t> pattern;
   FailingBackend* failing = SetUpCheckpointedApp(m, &addr, &pattern);
 
-  failing->fail_restore_namespace = true;
+  auto loaded = m.sls->store_backend()->LoadManifest("app", 0);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_FALSE(PeekManifest(loaded->blob)->namespace_table.empty());
+
+  failing->damage_namespace_table = true;
   auto res = m.sls->Restore("app", 0, RestoreMode::kFull, failing);
-  EXPECT_FALSE(res.ok());
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), Errc::kCorrupt);
   EXPECT_TRUE(m.kernel->AllProcesses().empty()) << "no half-built processes may survive";
 
-  failing->fail_restore_namespace = false;
+  failing->damage_namespace_table = false;
   ExpectCleanRestoreWorks(m, addr, pattern);
 }
 

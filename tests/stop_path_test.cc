@@ -260,17 +260,17 @@ TEST(StopPath, SerializerModesProduceIdenticalBytes) {
   ASSERT_TRUE(m.sls->Attach(group, app.proc).ok());
 
   FakeOids oids;
-  auto legacy = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
+  auto legacy = SerializeOsState(&m.sim, *group, 7, {}, oids.Fn(), nullptr,
                                  SerializeMode::kLegacy, nullptr);
   ASSERT_TRUE(legacy.ok());
 
   SerializeCache cache;
   cache.pass++;
-  auto warm = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
+  auto warm = SerializeOsState(&m.sim, *group, 7, {}, oids.Fn(), nullptr,
                                SerializeMode::kWarmCache, &cache);
   ASSERT_TRUE(warm.ok());
   cache.pass++;
-  auto assembled = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
+  auto assembled = SerializeOsState(&m.sim, *group, 7, {}, oids.Fn(), nullptr,
                                     SerializeMode::kAssemble, &cache);
   ASSERT_TRUE(assembled.ok());
 
@@ -295,7 +295,7 @@ TEST(StopPath, CacheInvalidationPerMutatingOp) {
   SerializeCache cache;
   auto run_pass = [&]() {
     cache.pass++;
-    auto r = SerializeOsState(&m.sim, *group, 3, kInvalidOid, oids.Fn(), nullptr,
+    auto r = SerializeOsState(&m.sim, *group, 3, {}, oids.Fn(), nullptr,
                               SerializeMode::kAssemble, &cache);
     EXPECT_TRUE(r.ok());
   };
