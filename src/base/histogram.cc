@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace aurora {
 
@@ -73,15 +72,6 @@ SimDuration LatencyHistogram::Percentile(double p) const {
     }
   }
   return max_;
-}
-
-std::string LatencyHistogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%llu avg=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus",
-                static_cast<unsigned long long>(count_), MeanNanos() / 1000.0,
-                ToMicros(Percentile(50)), ToMicros(Percentile(95)), ToMicros(Percentile(99)),
-                ToMicros(max_));
-  return buf;
 }
 
 }  // namespace aurora

@@ -5,8 +5,8 @@
 #ifndef SRC_BASE_HISTOGRAM_H_
 #define SRC_BASE_HISTOGRAM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/units.h"
@@ -29,8 +29,6 @@ class LatencyHistogram {
   }
   // Latency at percentile p in [0,100].
   SimDuration Percentile(double p) const;
-
-  std::string Summary() const;
 
  private:
   static constexpr int kSubBuckets = 32;  // per power of two

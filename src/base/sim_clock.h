@@ -48,7 +48,6 @@ class SimStopwatch {
   explicit SimStopwatch(const SimClock& clock) : clock_(clock), start_(clock.now()) {}
 
   SimDuration Elapsed() const { return clock_.now() - start_; }
-  void Restart() { start_ = clock_.now(); }
 
  private:
   const SimClock& clock_;

@@ -53,8 +53,6 @@ class LaneSchedule {
       open_segment_[lane] = seg;
     }
   }
-  void ClearSegmentHint(int lane) { open_segment_.erase(lane); }
-  bool HasSegmentHint(int lane) const { return open_segment_.count(lane) > 0; }
   // Earliest-free lane among lanes with no open segment; when every lane is
   // a hot appender, degrades to the globally earliest-free lane (which with
   // one lane is the historical lane 0).

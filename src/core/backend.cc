@@ -194,160 +194,6 @@ Status StoreBackend::StreamObject(uint64_t epoch, Oid oid, VmObject* obj, Restor
 }
 
 // -----------------------------------------------------------------------------
-// MemoryBackend
-// -----------------------------------------------------------------------------
-
-Result<Oid> MemoryBackend::CreateMemoryObject(uint64_t size_hint) {
-  Oid oid{next_oid_++};
-  objects_[oid.value].size = size_hint;
-  return oid;
-}
-
-void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
-                              std::vector<uint8_t> page) {
-  ObjectImage& img = objects_[oid];
-  img.size = std::max(img.size, object_size);
-  img.pages[pgidx] = std::move(page);
-}
-
-Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                uint64_t* bytes) {
-  if (obj->pages().empty()) {
-    return sim_->clock.now();
-  }
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    StagePage(oid.value, obj->size(), pgidx, {frame->data.begin(), frame->data.end()});
-  }
-  uint64_t n = obj->pages().size();
-  uint64_t copied = n * kPageSize;
-  *pages += n;
-  *bytes += copied;
-  int lane = lanes_.NextLane();
-  SimTime done = lanes_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
-  lanes_.Occupy(lane, done);
-  obj->set_busy_until(done);
-  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(copied);
-  return done;
-}
-
-Result<CheckpointBackend::CommitInfo> MemoryBackend::CommitEpoch(
-    const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // images are append-only; Seal retires nothing
-  // Commit is a join point: the manifest copy starts only after every flusher
-  // lane drained, and nothing later may start before the commit finished.
-  SimTime done = std::max(sim_->clock.now(), lanes_.Makespan());
-  if (!manifest.empty()) {
-    done += sim_->cost.MemCopy(manifest.size());
-    sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(manifest.size());
-  }
-  lanes_ = LaneSchedule(lanes_.lanes(), done);
-  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return SealAt(epoch_, ManifestGroup(manifest), ckpt_name, manifest, done);
-}
-
-CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string group,
-                                                    std::string ckpt_name,
-                                                    std::vector<uint8_t> manifest,
-                                                    SimTime committed_at) {
-  if (!group.empty()) {
-    // At-least-once ingest: resealing a (group, epoch) the table already
-    // holds returns the original record instead of appending a duplicate.
-    for (const ImageRecord& rec : images_) {
-      if (rec.epoch == epoch && rec.group == group) {
-        sim_->metrics.counter("net.dup_epochs_ignored").Add();
-        CommitInfo info;
-        info.epoch = rec.epoch;
-        info.manifest_oid = rec.manifest_oid;
-        info.durable_at = rec.committed_at;
-        return info;
-      }
-    }
-  }
-  CommitInfo info;
-  info.epoch = epoch;
-  info.durable_at = committed_at;
-  epoch_ = std::max(epoch_, epoch + 1);
-  ImageRecord rec;
-  rec.epoch = info.epoch;
-  rec.group = std::move(group);
-  rec.ckpt_name = std::move(ckpt_name);
-  rec.committed_at = committed_at;
-  if (!manifest.empty()) {
-    rec.manifest_oid = Oid{next_oid_++};
-    info.manifest_oid = rec.manifest_oid;
-    rec.manifest = std::move(manifest);
-  }
-  images_.push_back(std::move(rec));
-  return info;
-}
-
-const std::vector<uint8_t>* MemoryBackend::FindPage(uint64_t oid, uint64_t pgidx) const {
-  auto img = objects_.find(oid);
-  if (img == objects_.end()) {
-    return nullptr;
-  }
-  auto page = img->second.pages.find(pgidx);
-  return page == img->second.pages.end() ? nullptr : &page->second;
-}
-
-uint64_t MemoryBackend::InstallImage(uint64_t oid, VmObject* obj) const {
-  auto img = objects_.find(oid);
-  if (img == objects_.end()) {
-    return 0;
-  }
-  for (const auto& [pgidx, data] : img->second.pages) {
-    obj->InstallPage(pgidx, data.data());
-  }
-  return img->second.pages.size();
-}
-
-Result<const MemoryBackend::ImageRecord*> MemoryBackend::FindImage(const std::string& group_name,
-                                                                   uint64_t epoch) const {
-  for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
-    if (it->manifest.empty() || it->group != group_name) {
-      continue;  // manifest-less seal, or another group's image
-    }
-    if (epoch == 0 || epoch == it->epoch) {
-      return &*it;
-    }
-    if (epoch < it->epoch) {
-      return Status::Error(Errc::kNotSupported,
-                           "image table holds only the newest epoch of group " + group_name +
-                               "; older epochs restore from the store backend");
-    }
-    break;
-  }
-  return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
-}
-
-Result<CheckpointBackend::LoadedManifest> MemoryBackend::LoadManifest(
-    const std::string& group_name, uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
-  sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
-  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
-}
-
-bool MemoryBackend::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
-  const std::vector<uint8_t>* page = FindPage(oid.value, pgidx);
-  if (page == nullptr) {
-    return false;
-  }
-  sim_->clock.Advance(sim_->cost.MemCopy(kPageSize));
-  std::copy(page->begin(), page->end(), out);
-  return true;
-}
-
-Status MemoryBackend::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
-                                   RestoreStream* stream) {
-  uint64_t copied = InstallImage(oid.value, obj) * kPageSize;
-  int lane = stream->lanes.NextLane();
-  SimTime done = stream->lanes.StartOn(lane, 0) + sim_->cost.MemCopy(copied);
-  stream->lanes.Occupy(lane, done);
-  *stream->done = std::max(*stream->done, done);
-  return Status::Ok();
-}
-
-// -----------------------------------------------------------------------------
 // The wire format: ASND streams and replication chunks
 // -----------------------------------------------------------------------------
 
@@ -601,7 +447,139 @@ std::vector<ReplFrame> ReplicaLink::TakeDeliverable() {
 }
 
 // -----------------------------------------------------------------------------
-// ReplicaStandby
+// ReplicaStandby: the image table and the local destination
+// -----------------------------------------------------------------------------
+
+Result<Oid> ReplicaStandby::CreateMemoryObject(uint64_t size_hint) {
+  Oid oid{next_oid_++};
+  objects_[oid.value].size = size_hint;
+  return oid;
+}
+
+void ReplicaStandby::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
+                               std::vector<uint8_t> page) {
+  ObjectImage& img = objects_[oid];
+  img.size = std::max(img.size, object_size);
+  img.pages[pgidx] = std::move(page);
+}
+
+Result<SimTime> ReplicaStandby::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
+                                                 uint64_t* bytes) {
+  if (obj->pages().empty()) {
+    return sim_->clock.now();
+  }
+  for (const auto& [pgidx, frame] : obj->pages()) {
+    StagePage(oid.value, obj->size(), pgidx, {frame->data.begin(), frame->data.end()});
+  }
+  uint64_t n = obj->pages().size();
+  uint64_t copied = n * kPageSize;
+  *pages += n;
+  *bytes += copied;
+  int lane = lanes_.NextLane();
+  SimTime done = lanes_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
+  lanes_.Occupy(lane, done);
+  obj->set_busy_until(done);
+  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(copied);
+  return done;
+}
+
+Result<CheckpointBackend::CommitInfo> ReplicaStandby::CommitEpoch(
+    const std::string& /*ckpt_name*/, const std::vector<uint8_t>& manifest,
+    Oid /*replaces_manifest*/) {
+  // SealAt overwrites the group's record, which retires the old manifest.
+  // Commit is a join point: the manifest copy starts only after every flusher
+  // lane drained, and nothing later may start before the commit finished.
+  SimTime done = std::max(sim_->clock.now(), lanes_.Makespan());
+  if (!manifest.empty()) {
+    done += sim_->cost.MemCopy(manifest.size());
+    sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(manifest.size());
+  }
+  lanes_ = LaneSchedule(lanes_.lanes(), done);
+  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
+  return SealAt(epoch_, manifest, done);
+}
+
+CheckpointBackend::CommitInfo ReplicaStandby::SealAt(uint64_t epoch,
+                                                     std::vector<uint8_t> manifest,
+                                                     SimTime committed_at) {
+  epoch_ = std::max(epoch_, epoch + 1);
+  std::string group = ManifestGroup(manifest);
+  if (group.empty()) {
+    return CommitInfo{epoch, Oid{}, committed_at};
+  }
+  auto [it, fresh] = images_.try_emplace(std::move(group));
+  ImageRecord& rec = it->second;
+  if (!fresh && epoch <= rec.epoch) {
+    sim_->metrics.counter("net.dup_epochs_ignored").Add();
+  } else {
+    rec = ImageRecord{epoch, Oid{next_oid_++}, std::move(manifest), committed_at};
+  }
+  return CommitInfo{rec.epoch, rec.manifest_oid, rec.committed_at};
+}
+
+const std::vector<uint8_t>* ReplicaStandby::FindPage(uint64_t oid, uint64_t pgidx) const {
+  auto img = objects_.find(oid);
+  if (img == objects_.end()) {
+    return nullptr;
+  }
+  auto page = img->second.pages.find(pgidx);
+  return page == img->second.pages.end() ? nullptr : &page->second;
+}
+
+uint64_t ReplicaStandby::InstallImage(uint64_t oid, VmObject* obj) const {
+  auto img = objects_.find(oid);
+  if (img == objects_.end()) {
+    return 0;
+  }
+  for (const auto& [pgidx, data] : img->second.pages) {
+    obj->InstallPage(pgidx, data.data());
+  }
+  return img->second.pages.size();
+}
+
+Result<const ReplicaStandby::ImageRecord*> ReplicaStandby::FindImage(
+    const std::string& group_name, uint64_t epoch) const {
+  auto it = images_.find(group_name);
+  if (it == images_.end() || epoch > it->second.epoch) {
+    return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
+  }
+  if (epoch != 0 && epoch < it->second.epoch) {
+    return Status::Error(Errc::kNotSupported,
+                         "image table holds only the newest epoch of group " + group_name +
+                             "; older epochs restore from the store backend");
+  }
+  return &it->second;
+}
+
+Result<CheckpointBackend::LoadedManifest> ReplicaStandby::LoadManifest(
+    const std::string& group_name, uint64_t epoch) {
+  AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
+  sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
+}
+
+bool ReplicaStandby::ReadPage(uint64_t /*epoch*/, Oid oid, uint64_t pgidx, uint8_t* out) {
+  const std::vector<uint8_t>* page = FindPage(oid.value, pgidx);
+  if (page == nullptr) {
+    return false;
+  }
+  sim_->clock.Advance(sim_->cost.MemCopy(kPageSize));
+  std::copy(page->begin(), page->end(), out);
+  return true;
+}
+
+Status ReplicaStandby::StreamObject(uint64_t /*epoch*/, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) {
+  uint64_t copied = InstallImage(oid.value, obj) * kPageSize;
+  int lane = stream->lanes.NextLane();
+  SimTime done = stream->lanes.StartOn(lane, 0) + sim_->cost.MemCopy(copied);
+  stream->lanes.Occupy(lane, done);
+  *stream->done = std::max(*stream->done, done);
+  return Status::Ok();
+}
+
+// -----------------------------------------------------------------------------
+// ReplicaStandby: ingest and failover
 // -----------------------------------------------------------------------------
 
 uint64_t ReplicaStandby::newest_seen_epoch() const {
@@ -751,9 +729,7 @@ void ReplicaStandby::ApplyEpoch(uint64_t epoch, SimTime last_arrival,
   // timeline rather than advancing the clock — a restore joins it once.
   uint64_t bytes = pages * kPageSize;
   ingest_busy_until_ = start + sim_->cost.ContentHash(bytes) + sim_->cost.MemCopy(2 * bytes);
-  const ReplChunk& commit = chunks.back();
-  SealAt(epoch, ManifestGroup(commit.stream.manifest), commit.ckpt_name, commit.stream.manifest,
-         ingest_busy_until_);
+  SealAt(epoch, std::move(chunks.back().stream.manifest), ingest_busy_until_);
   applied_epoch_ = epoch;
   pages_applied_total_ += pages;
   MetricsRegistry& metrics = sim_->metrics;
@@ -1008,7 +984,7 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
 
 Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // the standby's image table is append-only
+  (void)replaces_manifest;  // the standby's record for the group replaces it
   ReplChunk chunk = NextChunk();
   chunk.nframes = chunk.seq + 1;
   chunk.ckpt_name = ckpt_name;
@@ -1044,7 +1020,7 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
 
 Result<CheckpointBackend::LoadedManifest> ReplicaBackend::LoadManifest(
     const std::string& group_name, uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
+  AURORA_ASSIGN_OR_RETURN(const ReplicaStandby::ImageRecord* rec,
                           standby_->FindImage(group_name, epoch));
   // Foreground pull: the restore blocks on the round trip.
   sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));

@@ -1,9 +1,10 @@
 // Pluggable checkpoint backends (paper section 4, Table 2).
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
-// object store, RAM-resident snapshot images, and a warm standby on another
-// machine, fed continuously over the NIC — the one way a checkpoint crosses
-// the network. (`sls send` / `sls recv` migration is not a backend; it
+// object store, and a warm standby on another machine, fed continuously over
+// the NIC — the one way a checkpoint crosses the network. The standby's
+// RAM-resident image table is a destination in its own right for a group
+// promoted onto it. (`sls send` / `sls recv` migration is not a backend; it
 // shares only the wire format below.) The Sls checkpoint/restore engine
 // talks to all of them through CheckpointBackend, so the pipeline stages —
 // quiesce, serialize, shadow, resume, async flush, commit, release — are
@@ -186,83 +187,6 @@ class StoreBackend : public CheckpointBackend {
 };
 
 // -----------------------------------------------------------------------------
-// MemoryBackend: RAM-resident checkpoint images. An asynchronous flusher
-// copies pages into per-object images at memcpy bandwidth; images survive
-// process teardown but not machine reboot.
-// A region keeps its oid across epochs, so each flush overwrites that
-// object's pages in place: the table holds the newest image of each group,
-// and the store backend is the path to older epochs.
-// -----------------------------------------------------------------------------
-class MemoryBackend : public CheckpointBackend {
- public:
-  explicit MemoryBackend(SimContext* sim, std::string name = "memory")
-      : sim_(sim), name_(std::move(name)) {}
-
-  struct ObjectImage {
-    uint64_t size = 0;
-    std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
-  };
-  struct ImageRecord {
-    uint64_t epoch = 0;
-    std::string group;
-    std::string ckpt_name;
-    Oid manifest_oid;
-    std::vector<uint8_t> manifest;
-    SimTime committed_at = 0;
-  };
-
-  const std::string& name() const override { return name_; }
-  uint64_t current_epoch() const override { return epoch_; }
-  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                 uint64_t* bytes) override;
-  [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
-                                               const std::vector<uint8_t>& manifest,
-                                               Oid replaces_manifest) override;
-  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
-                                                    uint64_t epoch) override;
-  // Pages are read from the one image each oid has, whatever `epoch` says:
-  // LoadManifest refuses every epoch but a group's newest (see FindImage).
-  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
-  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
-                                    RestoreStream* stream) override;
-
-  // Cost-free staging primitive: the caller charges the copy (the flusher
-  // lanes here, the ingest timeline on a replica standby).
-  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, std::vector<uint8_t> page);
-  // Seals `epoch` (current_epoch() for a local commit; a replica applying
-  // the primary's stream keeps the primary's numbering). Idempotent per
-  // (group, epoch): resealing an epoch the table already holds returns the
-  // existing record — at-least-once delivery must not duplicate images.
-  CommitInfo SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
-                    std::vector<uint8_t> manifest, SimTime committed_at);
-
-  const std::vector<uint8_t>* FindPage(uint64_t oid, uint64_t pgidx) const;
-  // Installs every staged page of `oid` into `obj`; returns the page count.
-  uint64_t InstallImage(uint64_t oid, VmObject* obj) const;
-  const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
-  // The newest image of `group_name` when `epoch` is 0 or names it;
-  // kNotSupported for an older epoch, whose manifest would sit over pages
-  // later flushes overwrote.
-  [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
-                                                     uint64_t epoch) const;
-  const std::vector<ImageRecord>& images() const { return images_; }
-
- protected:
-  SimContext* sim_;
-
- private:
-  std::string name_;
-  uint64_t next_oid_ = 1;
-  uint64_t epoch_ = 1;
-  // lanes_ is the asynchronous flusher: each object's copy lands on the
-  // least-loaded lane and starts no earlier than that lane's previous
-  // drain, so back-to-back checkpoints queue up.
-  std::map<uint64_t, ObjectImage> objects_;
-  std::vector<ImageRecord> images_;
-};
-
-// -----------------------------------------------------------------------------
 // The checkpoint wire format, magic "ASND": every `sls send` / `sls recv`
 // stream and the body of every replication chunk.
 // Layout: u32 magic, u64 epoch, u64 since_epoch, bytes manifest, u64 nobjects,
@@ -394,13 +318,63 @@ class ReplicaLink {
 };
 
 // Standby side: ingests the epoch stream, validates, applies, and promotes.
-// Extends MemoryBackend so the applied image table serves every existing
-// restore path (cold restore, lazy paging, conformance); the warm VmObject
-// images on top make failover O(dirty-since-last-applied-epoch).
-class ReplicaStandby : public MemoryBackend {
+// The applied epochs land in a RAM-resident image table that serves every
+// restore path (cold restore, lazy paging); the warm VmObject images on top
+// make failover O(dirty-since-last-applied-epoch).
+//
+// The standby is also a local checkpoint destination: a group promoted onto
+// it (Sls::RestoreRebindGroup) keeps checkpointing here, and an asynchronous
+// flusher copies its pages into the same table at memcpy bandwidth.
+//
+// A region keeps its oid across epochs, so each epoch overwrites that
+// object's pages in place: the table holds one record per group, its newest
+// image, and the store backend is the path to older epochs.
+class ReplicaStandby : public CheckpointBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
-      : MemoryBackend(sim, std::move(name)), link_(link) {}
+      : sim_(sim), name_(std::move(name)), link_(link) {}
+
+  struct ObjectImage {
+    uint64_t size = 0;
+    std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
+  };
+  // A group's newest sealed epoch.
+  struct ImageRecord {
+    uint64_t epoch = 0;
+    Oid manifest_oid;
+    std::vector<uint8_t> manifest;
+    SimTime committed_at = 0;
+  };
+
+  // --- Local checkpoint destination -----------------------------------------
+  const std::string& name() const override { return name_; }
+  uint64_t current_epoch() const override { return epoch_; }
+  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
+  [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
+                                                 uint64_t* bytes) override;
+  [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
+                                               const std::vector<uint8_t>& manifest,
+                                               Oid replaces_manifest) override;
+  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
+                                                    uint64_t epoch) override;
+  // Pages are read from the one image each oid has, whatever `epoch` says:
+  // LoadManifest refuses every epoch but a group's newest (see FindImage).
+  bool ReadPage(uint64_t epoch, Oid oid, uint64_t pgidx, uint8_t* out) override;
+  [[nodiscard]] Status StreamObject(uint64_t epoch, Oid oid, VmObject* obj,
+                                    RestoreStream* stream) override;
+
+  // --- The image table ------------------------------------------------------
+  const std::vector<uint8_t>* FindPage(uint64_t oid, uint64_t pgidx) const;
+  // Installs every staged page of `oid` into `obj`; returns the page count.
+  uint64_t InstallImage(uint64_t oid, VmObject* obj) const;
+  const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
+  // The newest image of `group_name` when `epoch` is 0 or names it;
+  // kNotSupported for an older epoch, whose manifest would sit over pages
+  // later epochs overwrote.
+  [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
+                                                     uint64_t epoch) const;
+  // Group name -> its record.
+  const std::map<std::string, ImageRecord>& images() const { return images_; }
 
   // --- Continuous ingest ---------------------------------------------------
   // Drains the link, slots chunks into pending epochs by their header
@@ -476,7 +450,25 @@ class ReplicaStandby : public MemoryBackend {
   [[nodiscard]] Result<std::vector<ReplChunk>> ValidateEpoch(const PendingEpoch& pending);
   // Moves the decoded pages into the image table.
   void ApplyEpoch(uint64_t epoch, SimTime last_arrival, std::vector<ReplChunk>& chunks);
+  // Cost-free staging: the caller charges the copy (the flusher lanes for a
+  // local commit, the ingest timeline for an applied epoch).
+  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, std::vector<uint8_t> page);
+  // Seals `epoch` (current_epoch() for a local commit; an applied epoch
+  // keeps the primary's numbering) as its group's record. A seal at or
+  // below the record's epoch is a replay — at-least-once delivery must not
+  // roll an image back — and returns the record unchanged. A manifest-less
+  // seal (sls_memckpt) only advances the epoch.
+  CommitInfo SealAt(uint64_t epoch, std::vector<uint8_t> manifest, SimTime committed_at);
 
+  SimContext* sim_;
+  std::string name_;
+  uint64_t next_oid_ = 1;
+  uint64_t epoch_ = 1;
+  // lanes_ is the asynchronous flusher: each object's copy lands on the
+  // least-loaded lane and starts no earlier than that lane's previous
+  // drain, so back-to-back checkpoints queue up.
+  std::map<uint64_t, ObjectImage> objects_;
+  std::map<std::string, ImageRecord> images_;
   ReplicaLink* link_;
   std::map<uint64_t, PendingEpoch> pending_;
   uint64_t applied_epoch_ = 0;

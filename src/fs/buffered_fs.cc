@@ -248,27 +248,6 @@ Status BufferedFs::Fsync(Vnode* vn) {
   return FsyncImpl(vn, dirty_len);
 }
 
-Result<SimTime> BufferedFs::FlushVnode(uint64_t ino) {
-  auto it = files_.find(ino);
-  if (it == files_.end()) {
-    return Status::Error(Errc::kNotFound, "no such inode");
-  }
-  SimTime done_at = sim_->clock.now();
-  for (auto& [idx, cb] : it->second.cache) {
-    if (!cb.dirty) {
-      continue;
-    }
-    auto done = PersistBlock(it->second.vnode.get(), idx, cb);
-    if (!done.ok()) {
-      return done.status();
-    }
-    done_at = std::max(done_at, *done);
-    cb.dirty = false;
-    dirty_bytes_ -= fs_block_size_;
-  }
-  return done_at;
-}
-
 void BufferedFs::DropCleanCache() {
   for (auto& [ino, state] : files_) {
     for (auto it = state.cache.begin(); it != state.cache.end();) {

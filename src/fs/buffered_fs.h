@@ -44,7 +44,6 @@ class BufferedFs : public Filesystem {
   // transaction group / Aurora checkpoint). Returns the completion time of
   // the last write issued.
   [[nodiscard]] Result<SimTime> FlushAll();
-  [[nodiscard]] Result<SimTime> FlushVnode(uint64_t ino);
 
   // Restore paths: registers a file under a preexisting inode number, either
   // linked at `path` or anonymous (unlinked but referenced by a checkpoint).

@@ -813,47 +813,12 @@ Status ObjectStore::DeleteObject(Oid oid) {
   return Status::Ok();
 }
 
-Result<ObjType> ObjectStore::TypeOf(Oid oid) const {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
-    return Status::Error(Errc::kNotFound, "no such object");
-  }
-  return it->second.type;
-}
-
 Result<uint64_t> ObjectStore::SizeOf(Oid oid) const {
   auto it = objects_.find(oid);
   if (it == objects_.end()) {
     return Status::Error(Errc::kNotFound, "no such object");
   }
   return it->second.size;
-}
-
-Status ObjectStore::SetSize(Oid oid, uint64_t size) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
-    return Status::Error(Errc::kNotFound, "no such object");
-  }
-  ObjectInfo& info = it->second;
-  if (size < info.size) {
-    uint64_t first_dead = (size + options_.block_size - 1) / options_.block_size;
-    for (auto ext = info.extents.lower_bound(first_dead); ext != info.extents.end();) {
-      KillExtent(ext->second);
-      ext = info.extents.erase(ext);
-    }
-  }
-  info.size = size;
-  return Status::Ok();
-}
-
-std::vector<Oid> ObjectStore::ListObjects() const {
-  std::vector<Oid> out;
-  out.reserve(objects_.size());
-  for (const auto& [oid, info] : objects_) {
-    out.push_back(oid);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void ObjectStore::SetFlushLanes(uint32_t lanes) {

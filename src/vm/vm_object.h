@@ -72,7 +72,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   uint64_t id() const { return id_; }
   VmObjectType type() const { return type_; }
   uint64_t size() const { return size_; }
-  uint64_t PageCount() const { return PagesOf(size_); }
 
   VmObject* parent() const { return parent_.get(); }
   const std::shared_ptr<VmObject>& parent_ref() const { return parent_; }
@@ -95,14 +94,8 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // exactly the pages dirtied since the shadow was created. Checkpointing
   // write-protects precisely these pages; the old [lo, hi] range summary
   // re-protected everything between two distant dirty pages, so a sparse
-  // dirty set paid for the whole span.
-  bool HasDirtyPages() const { return dirty_count_ > 0; }
-  uint64_t DirtyPageCount() const { return dirty_count_; }
-  bool IsPageDirty(uint64_t pgidx) const {
-    uint64_t w = pgidx >> 6;
-    return w < dirty_bits_.size() && ((dirty_bits_[w] >> (pgidx & 63)) & 1) != 0;
-  }
-  // Maximal [lo, hi) runs of consecutive dirty page indices, ascending.
+  // dirty set paid for the whole span. Maximal [lo, hi) runs of consecutive
+  // dirty page indices, ascending.
   std::vector<std::pair<uint64_t, uint64_t>> DirtyRuns() const;
   const std::map<uint64_t, std::unique_ptr<VmPage>>& pages() const { return pages_; }
 
@@ -121,16 +114,8 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   };
   LookupResult LookupChain(uint64_t pgidx);
 
-  // Ensures this object has its own copy of page `pgidx`, copying from the
-  // chain below (or the pager / zero fill) if needed. This is the COW copy
-  // step of a write fault. Returns the page. Fails on frozen objects.
-  [[nodiscard]] Result<VmPage*> EnsureLocalPage(uint64_t pgidx);
-
   // Inserts/overwrites a page with the given contents (restore path).
   VmPage* InstallPage(uint64_t pgidx, const uint8_t* data);
-  // Moves a page frame out of this object (collapse and swap eviction).
-  std::unique_ptr<VmPage> TakePage(uint64_t pgidx);
-  void RemovePage(uint64_t pgidx);
   // Drops every resident frame (swap eviction of a fully durable object).
   // Stale translations are torn down through the frames' pv lists.
   uint64_t DropResidentPages() {
@@ -179,11 +164,7 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
     if (w >= dirty_bits_.size()) {
       dirty_bits_.resize(w + 1, 0);
     }
-    uint64_t bit = 1ull << (pgidx & 63);
-    if ((dirty_bits_[w] & bit) == 0) {
-      dirty_bits_[w] |= bit;
-      dirty_count_++;
-    }
+    dirty_bits_[w] |= 1ull << (pgidx & 63);
   }
 
   static uint64_t next_id_;
@@ -197,7 +178,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   uint64_t backing_ino_ = 0;
   SimTime busy_until_ = 0;
   std::vector<uint64_t> dirty_bits_;  // bit per page index, grown lazily
-  uint64_t dirty_count_ = 0;
 
   std::shared_ptr<VmObject> parent_;
   int shadow_count_ = 0;  // number of shadows whose parent is this object

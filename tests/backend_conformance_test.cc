@@ -43,13 +43,14 @@ class BackendConformance : public ::testing::TestWithParam<const char*> {
     if (which == "store") {
       return m.sls->store_backend();
     }
-    if (which == "memory") {
-      return m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim));
-    }
-    // replica: continuous ingest standby behind a fault-injectable link.
+    // A continuous ingest standby behind a fault-injectable link.
     link_ = std::make_unique<ReplicaLink>();
     auto* standby = static_cast<ReplicaStandby*>(
         m.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&m.sim, link_.get())));
+    if (which == "standby") {
+      // The promoted-group path: the standby is the group's local destination.
+      return standby;
+    }
     return m.sls->RegisterBackend(
         std::make_unique<ReplicaBackend>(&m.sim, standby, link_.get()));
   }
@@ -256,7 +257,7 @@ TEST_P(BackendConformance, OlderEpochRestoreIsExactOrRefused) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Values("store", "memory", "replica"));
+                         ::testing::Values("store", "standby", "replica"));
 
 }  // namespace
 }  // namespace aurora

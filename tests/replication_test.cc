@@ -112,6 +112,61 @@ TEST(Replication, WatermarksAdvanceWithEachCommittedEpoch) {
   EXPECT_GT(m.standby->ingest_busy_until(), 0u);
 }
 
+// The standby's image table holds one record per group, its newest epoch,
+// however many epochs the groups seal; a manifest-less sls_memckpt epoch
+// adds none.
+TEST(Replication, ImageTableHoldsOneRecordPerGroup) {
+  ReplMachine m;
+  constexpr uint64_t kEpochs = 4;
+  struct App {
+    std::string name;
+    Process* proc = nullptr;
+    uint64_t addr = 0;
+    ConsistencyGroup* group = nullptr;
+    std::vector<uint8_t> want;
+    uint64_t first_epoch = 0;
+  };
+  std::vector<App> apps;
+  for (const char* name : {"a", "b"}) {
+    App app;
+    app.name = name;
+    app.proc = *m.kernel->CreateProcess(name);
+    app.addr = *app.proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite,
+                                   VmObject::CreateAnonymous(kMem), 0, false);
+    app.group = *m.sls->CreateGroup(name);
+    ASSERT_TRUE(m.sls->Attach(app.group, app.proc).ok());
+    ASSERT_TRUE(m.sls->SetBackend(app.group, "replica").ok());
+    apps.push_back(std::move(app));
+  }
+  for (uint64_t e = 0; e < kEpochs; e++) {
+    for (size_t i = 0; i < apps.size(); i++) {
+      App& app = apps[i];
+      app.want = Pattern(static_cast<uint8_t>(16 * i + e));
+      WritePattern(app.proc, app.addr, app.want);
+      if (i == 0 && e == kEpochs / 2) {
+        // A region checkpoint between two full ones.
+        ASSERT_TRUE(m.sls->MemCheckpoint(app.proc, app.addr).ok());
+      }
+      auto c = m.sls->Checkpoint(app.group);
+      ASSERT_TRUE(c.ok()) << c.status().message();
+      if (e == 0) {
+        app.first_epoch = c->epoch;
+      }
+    }
+  }
+  EXPECT_EQ(m.standby->last_applied_epoch(), 2 * kEpochs + 1);
+  EXPECT_EQ(m.standby->images().size(), 2u);
+
+  for (const App& app : apps) {
+    auto old = m.sls->Restore(app.name, app.first_epoch, RestoreMode::kFull, m.replica);
+    ASSERT_FALSE(old.ok());
+    EXPECT_EQ(old.status().code(), Errc::kNotSupported) << old.status().message();
+    auto restored = m.sls->Restore(app.name, 0, RestoreMode::kFull, m.replica);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_EQ(ReadPromoted(*restored, app.addr), app.want) << app.name;
+  }
+}
+
 TEST(Replication, DuplicatedAndReorderedFramesApplyIdempotently) {
   ReplMachine m;
   ReplicaLink::FaultProfile faults;
